@@ -22,7 +22,6 @@ load and CPU frequency; only paired ratios are meaningful.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import time
 from pathlib import Path
@@ -242,11 +241,11 @@ def test_bench_perf_grid(bench_traces):
     }
     # Carry the paired engine comparisons forward so a grid-only rerun
     # does not drop them from the record; test_bench_perf_batched and
-    # test_bench_perf_specialized rewrite them with fresh paired numbers
-    # when they run.
+    # test_bench_perf_sampled rewrite them with fresh numbers when they
+    # run.
     if _OUT_PATH.exists():
         previous = json.loads(_OUT_PATH.read_text())
-        for block in ("batched", "specialized", "sampled"):
+        for block in ("batched", "sampled"):
             if block in previous:
                 report[block] = previous[block]
     _OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
@@ -306,92 +305,6 @@ def test_bench_perf_batched():
 
     assert identical and it_identical  # bit-identity while we have both
     assert scalar_s / batched_s > _MIN_BATCHED_RATIO
-
-
-#: CI-safe floor for the specialized/generic grid ratio.  The honest
-#: measured grid-level speedup is modest (docs/PERFORMANCE.md section 9:
-#: the generic engine already hoists every knob to locals, so folding
-#: them buys little per cycle); the assertion only guards against the
-#: specialized path becoming dramatically slower than generic.
-_MIN_SPECIALIZED_RATIO = 0.8
-
-
-def _paired_specialized_seconds(jobs: list[SimJob]) -> tuple[float, float, bool]:
-    """Best-of interleaved whole-grid passes: (generic, specialized,
-    identical).  The warm-up pair both checks bit-identity and builds
-    every specialized class, so the timed passes measure the steady
-    state (codegen is a once-per-fingerprint cost the in-process cache
-    amortizes across a sweep)."""
-    from repro.engine.specialize import SPECIALIZE_ENV_VAR
-
-    def _generic_pass():
-        os.environ[SPECIALIZE_ENV_VAR] = "0"
-        try:
-            return run_jobs(jobs, 1, batch=1)
-        finally:
-            del os.environ[SPECIALIZE_ENV_VAR]
-
-    generic_results = _generic_pass()
-    specialized_results = run_jobs(jobs, 1, batch=1)
-    identical = [r.counters for r in generic_results] == [
-        r.counters for r in specialized_results
-    ]
-    generic_best = specialized_best = float("inf")
-    for _ in range(_BATCHED_REPS):
-        start = time.process_time()
-        _generic_pass()
-        generic_best = min(generic_best, time.process_time() - start)
-        start = time.process_time()
-        run_jobs(jobs, 1, batch=1)
-        specialized_best = min(specialized_best, time.process_time() - start)
-    return generic_best, specialized_best, identical
-
-
-def test_bench_perf_specialized():
-    """Paired specialized-vs-generic grid throughput (PR 7).
-
-    Measures the figure3-shaped bench grid through ``run_jobs`` both
-    ways on the scalar per-point path — generic
-    (``REPRO_ENGINE_SPECIALIZE=0``) and config-specialized (the
-    default) — in interleaved passes, and records the paired ratio in
-    the report's ``specialized`` block.  Classes are pre-built by the
-    bit-identity warm-up, so the ratio is the steady-state one a long
-    sweep sees, not the codegen-dominated cold start.
-    """
-    grid = _figure3_grid()
-    generic_s, specialized_s, identical = _paired_specialized_seconds(grid)
-
-    specialized_block = {
-        "grid_lanes": len(grid),
-        "generic_best_seconds": round(generic_s, 6),
-        "specialized_best_seconds": round(specialized_s, 6),
-        "grid_speedup": round(generic_s / specialized_s, 3),
-        "pr6_reference": {
-            "commit": _git_revision(),
-            "measured": time.strftime("%Y-%m-%d"),
-            "note": (
-                "the generic side IS the PR 6 per-point engine "
-                "(specialization subclasses it and leaves it untouched), "
-                "run interleaved with the specialized side in the same "
-                "time window on the same host; the speedup above is that "
-                "paired ratio"
-            ),
-        },
-        "note": (
-            "grid-level gain is bounded by what folding can remove: the "
-            "generic engine already hoists every config knob to "
-            "per-call locals, so specialization eliminates cheap local "
-            "branch tests, not attribute loads — see docs/PERFORMANCE.md "
-            "section 9 for the ceiling analysis"
-        ),
-    }
-
-    report = json.loads(_OUT_PATH.read_text()) if _OUT_PATH.exists() else {}
-    report["specialized"] = specialized_block
-    _OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-
-    assert identical  # bit-identity while we have both result sets
-    assert generic_s / specialized_s > _MIN_SPECIALIZED_RATIO
 
 
 #: Acceptance bars for phase-sampled simulation (the PR 9 streaming
@@ -527,7 +440,6 @@ def test_bench_perf_report_readable():
         "pr3_reference",
         "speedup_vs_seed_reference",
         "batched",
-        "specialized",
         "sampled",
     } <= set(report)
     assert set(report["model_aggregate_ips"]) == {"base", "great", "good"}
@@ -535,9 +447,6 @@ def test_bench_perf_report_readable():
     assert batched["grid_speedup"] > 0
     assert batched["itiming_speedup"] > 0
     assert "pr5_reference" in batched
-    specialized = report["specialized"]
-    assert specialized["grid_speedup"] > 0
-    assert "pr6_reference" in specialized
     sampled = report["sampled"]
     assert len(sampled["workloads"]) >= 2
     for result in sampled["workloads"].values():

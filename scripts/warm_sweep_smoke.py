@@ -68,14 +68,19 @@ def main(argv: list[str] | None = None) -> int:
     from repro.harness import parallel
     from repro.programs.suite import KernelSpec
 
+    # Count both capture forms: the trace cache streams captures through
+    # ``iter_trace`` and falls back to ``trace`` when it cannot write.
     captures = {"count": 0}
-    original_trace = KernelSpec.trace
 
-    def counting_trace(self, max_instructions=None):
-        captures["count"] += 1
-        return original_trace(self, max_instructions)
+    def counting(original):
+        def capture(self, max_instructions=None):
+            captures["count"] += 1
+            return original(self, max_instructions)
 
-    KernelSpec.trace = counting_trace
+        return capture
+
+    KernelSpec.trace = counting(KernelSpec.trace)
+    KernelSpec.iter_trace = counting(KernelSpec.iter_trace)
 
     config = ProcessorConfig(issue_width=4, window_size=24)
     jobs = [

@@ -12,22 +12,18 @@ exactly once thanks to the harness's duplicate-key dedup.
 
 Runs are grouped by their engine overrides: the (usually dominant)
 no-override group goes to the backend as one flattened job list, while
-each engine-lesioned group (``batch=1``, ``specialize=False``) runs as
-its own call with the override applied — the jobs are identical, only
-the execution strategy differs, which is exactly what those components
-measure.
+each engine-lesioned group (``batch=1``) runs as its own call with the
+override applied — the jobs are identical, only the execution strategy
+differs, which is exactly what those components measure.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.ablation.plan import AblationPlan, PlannedRun
 from repro.cluster.serial import job_key
 from repro.engine.sim import SimulationResult
-from repro.engine.specialize import SPECIALIZE_ENV_VAR
 from repro.harness.parallel import SimJob, run_jobs
 
 
@@ -39,22 +35,6 @@ class RunResults:
     run: PlannedRun
     base_results: tuple[SimulationResult, ...]
     results: tuple[SimulationResult, ...]
-
-
-@contextmanager
-def _specialize_disabled():
-    """Temporarily force the generic interpreter (the specialization
-    lesion).  Serial execution reads the variable per job; pool workers
-    inherit the environment when they start."""
-    previous = os.environ.get(SPECIALIZE_ENV_VAR)
-    os.environ[SPECIALIZE_ENV_VAR] = "0"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[SPECIALIZE_ENV_VAR]
-        else:
-            os.environ[SPECIALIZE_ENV_VAR] = previous
 
 
 def _run_group(
@@ -75,13 +55,7 @@ def _run_group(
         spans.append((run.run_id, start, len(flat)))
     overrides = dict(group[0].engine_overrides)
     effective_batch = overrides.get("batch", batch)
-    if overrides.get("specialize", True) is False:
-        with _specialize_disabled():
-            results = run_jobs(
-                flat, jobs, backend=backend, batch=effective_batch
-            )
-    else:
-        results = run_jobs(flat, jobs, backend=backend, batch=effective_batch)
+    results = run_jobs(flat, jobs, backend=backend, batch=effective_batch)
     return {
         run_id: results[start:stop] for run_id, start, stop in spans
     }

@@ -22,11 +22,10 @@ Two component kinds exist:
   runs simulate a *different* machine, so their job keys differ from
   the baseline's and their speedup deltas measure the mechanism.
 * ``engine`` — the lesion edits only how the harness *executes* the
-  same jobs (scalar instead of batched, generic instead of specialized
-  codegen).  Results must be bit-identical by construction, so the
-  reported importance is exactly ``0.0`` — these components are
-  registered as always-on differential tests of the engine features,
-  not as machine mechanisms.
+  same jobs (scalar instead of batched).  Results must be bit-identical
+  by construction, so the reported importance is exactly ``0.0`` — such
+  components are registered as always-on differential tests of the
+  engine features, not as machine mechanisms.
 
 A lesion that does not apply to the baseline being ablated (the
 baseline already runs complete invalidation, or carries a predictor the
@@ -118,7 +117,7 @@ class Component:
     ``lesion`` maps the baseline :class:`AblationPoint` to the lesioned
     one (raising :class:`NotApplicable` when the baseline does not carry
     the mechanism); ``engine_overrides`` instead names execution-level
-    settings (``batch``, ``specialize``) for ``kind="engine"``
+    settings (``batch``) for ``kind="engine"``
     components, whose lesioned runs execute the *same* jobs.
     """
 
@@ -366,18 +365,5 @@ def default_registry() -> ComponentRegistry:
             lesion_label="scalar execution (batch=1)",
             kind="engine",
             engine_overrides=(("batch", 1),),
-        ),
-        Component(
-            name="engine-specialization",
-            title="Config-specialized engine codegen",
-            description=(
-                "Execution-level feature: constant-folded per-config "
-                "engine classes (docs/PERFORMANCE.md #9).  Lesioned "
-                "runs execute the identical jobs on the generic "
-                "interpreter, so the delta is 0.0 by construction."
-            ),
-            lesion_label="generic interpreter (REPRO_ENGINE_SPECIALIZE=0)",
-            kind="engine",
-            engine_overrides=(("specialize", False),),
         ),
     ])

@@ -63,15 +63,6 @@ def _experiment_kwargs(args: argparse.Namespace) -> dict:
         from repro.harness.parallel import BATCH_ENV_VAR
 
         os.environ[BATCH_ENV_VAR] = str(args.batch)
-    if getattr(args, "specialize", True) is False:
-        # Same env-export pattern as --batch: pool and cluster workers
-        # inherit the setting, and run_baseline/run_trace read it at
-        # every call, so the whole grid runs the generic engine.
-        import os
-
-        from repro.engine.specialize import SPECIALIZE_ENV_VAR
-
-        os.environ[SPECIALIZE_ENV_VAR] = "0"
     return kwargs
 
 
@@ -665,16 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
             "engine unit (0 = unbounded; default: REPRO_SWEEP_BATCH or 1)"
         ),
     )
-    run_parser.add_argument(
-        "--no-specialize",
-        dest="specialize",
-        action="store_false",
-        default=True,
-        help=(
-            "force the generic engine (default: config-specialized "
-            "codegen, or REPRO_ENGINE_SPECIALIZE=0 to disable)"
-        ),
-    )
     run_parser.set_defaults(func=_cmd_run)
 
     for shorthand in ("table1", "figure1", "figure3", "figure4"):
@@ -686,12 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend", choices=("local", "cluster", "service"), default=None
         )
         p.add_argument("--batch", type=int, default=None, metavar="N")
-        p.add_argument(
-            "--no-specialize",
-            dest="specialize",
-            action="store_false",
-            default=True,
-        )
         p.set_defaults(func=_cmd_run, id=shorthand)
 
     describe_parser = sub.add_parser(

@@ -12,14 +12,12 @@ from dataclasses import dataclass, field
 from repro.core.model import SpeculativeExecutionModel
 from repro.engine.config import ProcessorConfig
 from repro.engine.pipeline import PipelineSimulator
-from repro.engine.specialize import simulator_class
 from repro.metrics.accuracy import AccuracyBreakdown
 from repro.metrics.counters import SimCounters
 from repro.metrics.speedup import speedup as _speedup
 from repro.trace.record import TraceRecord
 from repro.vp.base import ValuePredictor
 from repro.vp.confidence import ConfidenceEstimator, ResettingConfidenceEstimator
-from repro.vp.context import ContextValuePredictor
 from repro.vp.oracle import OracleConfidence
 from repro.vp.update_timing import UpdateTiming
 
@@ -34,10 +32,10 @@ class SimulationResult:
     confidence_kind: str | None = None
     update_timing: str | None = None
     extra: dict[str, float] = field(default_factory=dict)
-    #: Which engine produced this run ("specialized", "generic (<reason>)",
-    #: "batched (...)"), for perf attribution.  Excluded from equality —
-    #: bit-identity checks compare *simulation* outcomes, and the same
-    #: outcome may legitimately come from different engine paths.
+    #: Which engine produced this run ("scalar" or "batched"), for perf
+    #: attribution.  Excluded from equality — bit-identity checks compare
+    #: *simulation* outcomes, and the same outcome may legitimately come
+    #: from different engine paths.
     engine_path: str | None = field(default=None, compare=False)
 
     @property
@@ -77,7 +75,6 @@ def run_baseline(
     tracer=None,
     hierarchy=None,
     fetch_engine=None,
-    specialize: bool | None = None,
 ) -> SimulationResult:
     """Simulate the base processor (no value prediction).
 
@@ -86,14 +83,8 @@ def run_baseline(
     ``hierarchy``/``fetch_engine`` inject pre-built collaborators — the
     batched engine (:mod:`repro.engine.batched`) uses them to share one
     predicted fetch stream across lanes; leave them ``None`` otherwise.
-    ``specialize`` forces the config-specialized engine on/off; ``None``
-    (the default) follows ``REPRO_ENGINE_SPECIALIZE`` (on unless
-    disabled — see :mod:`repro.engine.specialize`).
     """
-    engine, engine_path = simulator_class(
-        config, None, tracer=tracer, enabled=specialize
-    )
-    simulator = engine(
+    simulator = PipelineSimulator(
         trace,
         config,
         model=None,
@@ -102,9 +93,7 @@ def run_baseline(
         tracer=tracer,
     )
     counters = simulator.run()
-    return SimulationResult(
-        counters=counters, config=config, engine_path=engine_path
-    )
+    return SimulationResult(counters=counters, config=config, engine_path="scalar")
 
 
 def run_trace(
@@ -119,7 +108,6 @@ def run_trace(
     hierarchy=None,
     fetch_engine=None,
     confidence_kind: str | None = None,
-    specialize: bool | None = None,
 ) -> SimulationResult:
     """Simulate one value-speculative run.
 
@@ -141,20 +129,7 @@ def run_trace(
         confidence = make_confidence(confidence)
     elif confidence_kind is None:
         confidence_kind = "O" if isinstance(confidence, OracleConfidence) else "R"
-    # Resolve the collaborator *instances* before picking the engine
-    # class: the specializer's knob derivation is type- and
-    # instance-sensitive and must see exactly what the simulator will.
-    predictor = predictor or ContextValuePredictor()
-    engine, engine_path = simulator_class(
-        config,
-        model,
-        predictor=predictor,
-        confidence=confidence,
-        update_timing=update_timing,
-        tracer=tracer,
-        enabled=specialize,
-    )
-    simulator = engine(
+    simulator = PipelineSimulator(
         trace,
         config,
         model,
@@ -172,7 +147,7 @@ def run_trace(
         model_name=model.name,
         confidence_kind=confidence_kind,
         update_timing=update_timing.label,
-        engine_path=engine_path,
+        engine_path="scalar",
     )
 
 

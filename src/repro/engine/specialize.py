@@ -1,549 +1,17 @@
-"""Config-specialized engine codegen: one branch-free class per sweep point.
+"""Compatibility stub: config-specialized engine codegen was removed.
 
-The generic :class:`~repro.engine.pipeline.PipelineSimulator` hoists its
-configuration knobs (verification scheme, update timing, port limits,
-tracer/log guards, widths, latencies) to instance attributes and local
-variables, but still *tests* them every cycle.  For any single sweep
-point those tests have one answer, fixed for the whole run.  This module
-rewrites the hot stage methods with the answers baked in:
-
-1. :func:`repro.engine.templates.derive_inputs` evaluates the knob
-   expressions of ``__init__`` for the point and fingerprints them.
-2. Each registry method's source (``inspect.getsource`` on the *generic*
-   method — one source of truth, no drift) is parsed and run through an
-   iterative constant folder: knob attribute loads become literals,
-   single-assignment locals bound to folded constants propagate and
-   disappear, comparisons whose operands all resolve (including enum
-   members) evaluate, ``and``/``or``/``not`` simplify with Python value
-   semantics preserved, and ``if`` statements with constant tests keep
-   only the live branch.
-3. The folded methods are assembled into the source of a
-   ``SpecializedPipelineSimulator`` subclass, compiled under a synthetic
-   filename, ``exec``'d in a namespace copied from the pipeline module,
-   and memoized in :data:`_CLASS_CACHE` keyed by the fingerprint — the
-   same canonical-repr + sha256 discipline as
-   :func:`repro.cluster.serial.job_key`.
-
-:func:`simulator_class` is the only entry point and **never raises**:
-disabled (``REPRO_ENGINE_SPECIALIZE=0`` / ``--no-specialize``),
-tracer-attached, unsupported-knob and codegen-failure cases all fall
-back to the generic class with a human-readable engine-path reason
-(failures are cached too, so a bad combination pays codegen once).
-Correctness is pinned by tests/test_specialize.py: every golden and
-variant snapshot must be bit-identical generic vs specialized.
+The repository's end-to-end benchmark (``perfbench/``) imports this
+module during set-up and wraps :func:`simulator_class` by name, and it
+may only change together with the benchmark.  The stub keeps those
+references valid; nothing under ``src/`` imports it.  The next change to
+the benchmark drops those references and deletes this module.
 """
 
 from __future__ import annotations
 
-import ast
-import enum
-import inspect
-import logging
-import os
-import textwrap
-
-from repro.engine import pipeline as _pipeline
 from repro.engine.pipeline import PipelineSimulator
-from repro.engine.templates import (
-    STAGE_METHODS,
-    SpecializationInputs,
-    derive_inputs,
-    verify_template,
-)
-from repro.vp.update_timing import UpdateTiming
-
-#: Env var: any of {"0", "false", "no", "off"} (case-insensitive)
-#: disables specialization process-wide; unset or anything else leaves
-#: it on.  Exported to workers by the ``--no-specialize`` CLI flag.
-SPECIALIZE_ENV_VAR = "REPRO_ENGINE_SPECIALIZE"
-
-_FALSY = frozenset({"0", "false", "no", "off"})
-
-_log = logging.getLogger(__name__)
-
-#: Fingerprint -> (class | None, engine-path string).  ``None`` records
-#: a failed codegen so the fallback reason is replayed without retrying.
-_CLASS_CACHE: dict[str, tuple[type | None, str]] = {}
-
-#: Enum classes visible from the pipeline module, for resolving
-#: ``SchemeClass.MEMBER`` operands in comparison folding.
-_ENUM_CLASSES = {
-    name: obj
-    for name, obj in vars(_pipeline).items()
-    if isinstance(obj, enum.EnumMeta)
-}
-
-_MISSING = object()
-
-#: Folding iterations before declaring non-convergence (each pass both
-#: folds and discovers new propagatable locals; real methods settle in
-#: three or four).
-_MAX_PASSES = 24
 
 
-def specialization_enabled() -> bool:
-    """The process-wide default from :data:`SPECIALIZE_ENV_VAR`."""
-    return os.environ.get(SPECIALIZE_ENV_VAR, "").strip().lower() not in _FALSY
-
-
-class SpecializationUnsupported(Exception):
-    """A registry method cannot be safely folded for this point."""
-
-
-def _is_embeddable(value) -> bool:
-    """Can ``value`` be written into source as an ``ast.Constant``?"""
-    return value is None or isinstance(value, (bool, int, float, str))
-
-
-def _cmp(op: ast.cmpop, left, right):
-    if isinstance(op, ast.Is):
-        return left is right
-    if isinstance(op, ast.IsNot):
-        return left is not right
-    if isinstance(op, ast.Eq):
-        return left == right
-    if isinstance(op, ast.NotEq):
-        return left != right
-    if isinstance(op, ast.In):
-        return left in right
-    if isinstance(op, ast.NotIn):
-        return left not in right
-    if isinstance(op, ast.Lt):
-        return left < right
-    if isinstance(op, ast.LtE):
-        return left <= right
-    if isinstance(op, ast.Gt):
-        return left > right
-    if isinstance(op, ast.GtE):
-        return left >= right
-    raise SpecializationUnsupported(f"comparison op {op!r}")
-
-
-class _Folder(ast.NodeTransformer):
-    """One fold pass: substitute, evaluate, and prune what the current
-    constant/fact environment proves.  Sets ``changed`` when anything
-    moved so the caller can iterate to a fixpoint."""
-
-    def __init__(
-        self,
-        inputs: SpecializationInputs,
-        const_locals: dict,
-        fact_locals: dict,
-    ):
-        self.inputs = inputs
-        self.const_locals = const_locals
-        self.fact_locals = fact_locals
-        self.changed = False
-
-    # -- value resolution ------------------------------------------------
-
-    def _resolve(self, node):
-        """The runtime value of ``node``, or ``_MISSING``.  Resolved
-        values may be non-embeddable (enum members) — those only feed
-        comparison evaluation, never literal substitution."""
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            if node.id in self.const_locals:
-                return self.const_locals[node.id]
-            return _MISSING
-        if isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Load):
-            elements = [self._resolve(element) for element in node.elts]
-            if any(element is _MISSING for element in elements):
-                return _MISSING
-            return tuple(elements)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            base = node.value
-            if isinstance(base, ast.Name):
-                if base.id == "self":
-                    if node.attr in self.inputs.scalar_knobs:
-                        return self.inputs.scalar_knobs[node.attr]
-                    if node.attr == "update_timing":
-                        return self.inputs.update_timing
-                    return _MISSING
-                enum_class = _ENUM_CLASSES.get(base.id)
-                if enum_class is not None:
-                    return getattr(enum_class, node.attr, _MISSING)
-                return _MISSING
-            if (
-                isinstance(base, ast.Attribute)
-                and isinstance(base.value, ast.Name)
-                and base.value.id == "self"
-                and base.attr in ("config", "variables", "latencies")
-            ):
-                return getattr(
-                    getattr(self.inputs, base.attr), node.attr, _MISSING
-                )
-        return _MISSING
-
-    def _notnone_fact(self, node):
-        """The identity-with-None fact for ``node`` (True = proven not
-        None, False = proven None), or ``None`` when unknown."""
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return self.inputs.notnone_attrs.get(node.attr)
-        if isinstance(node, ast.Name):
-            return self.fact_locals.get(node.id)
-        return None
-
-    # -- substitution ----------------------------------------------------
-
-    def visit_Name(self, node):
-        if isinstance(node.ctx, ast.Load) and node.id in self.const_locals:
-            self.changed = True
-            return ast.copy_location(
-                ast.Constant(self.const_locals[node.id]), node
-            )
-        return node
-
-    def visit_Attribute(self, node):
-        if isinstance(node.ctx, (ast.Store, ast.Del)):
-            if (
-                isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-                and (
-                    node.attr in self.inputs.scalar_knobs
-                    or node.attr in self.inputs.notnone_attrs
-                )
-            ):
-                raise SpecializationUnsupported(
-                    f"method stores to folded attribute self.{node.attr}"
-                )
-            self.generic_visit(node)
-            return node
-        self.generic_visit(node)
-        value = self._resolve(node)
-        if value is not _MISSING and _is_embeddable(value):
-            self.changed = True
-            return ast.copy_location(ast.Constant(value), node)
-        return node
-
-    # -- evaluation ------------------------------------------------------
-
-    def visit_Compare(self, node):
-        self.generic_visit(node)
-        if (
-            len(node.ops) == 1
-            and isinstance(node.ops[0], (ast.Is, ast.IsNot))
-            and isinstance(node.comparators[0], ast.Constant)
-            and node.comparators[0].value is None
-        ):
-            fact = self._notnone_fact(node.left)
-            if fact is not None:
-                result = fact if isinstance(node.ops[0], ast.IsNot) else not fact
-                self.changed = True
-                return ast.copy_location(ast.Constant(result), node)
-        operands = [self._resolve(node.left)]
-        operands += [self._resolve(comparator) for comparator in node.comparators]
-        if any(operand is _MISSING for operand in operands):
-            return node
-        try:
-            result = True
-            left = operands[0]
-            for op, right in zip(node.ops, operands[1:]):
-                if not _cmp(op, left, right):
-                    result = False
-                    break
-                left = right
-        except Exception:
-            return node
-        self.changed = True
-        return ast.copy_location(ast.Constant(result), node)
-
-    def visit_BoolOp(self, node):
-        self.generic_visit(node)
-        truncate_on = not isinstance(node.op, ast.And)
-        last = len(node.values) - 1
-        kept = []
-        for index, value in enumerate(node.values):
-            if isinstance(value, ast.Constant):
-                if bool(value.value) == truncate_on:
-                    # `x and False ...` / `x or True ...`: nothing after
-                    # this operand can evaluate, and it is the result.
-                    kept.append(value)
-                    break
-                if index != last:
-                    # Neutral operand (`True and`, `False or`): only the
-                    # final operand's *value* can be the expression's.
-                    continue
-            kept.append(value)
-        if len(kept) == len(node.values):
-            return node
-        self.changed = True
-        if len(kept) == 1:
-            return ast.copy_location(kept[0], node)
-        return ast.copy_location(ast.BoolOp(op=node.op, values=kept), node)
-
-    def visit_UnaryOp(self, node):
-        self.generic_visit(node)
-        if isinstance(node.op, ast.Not) and isinstance(node.operand, ast.Constant):
-            self.changed = True
-            return ast.copy_location(
-                ast.Constant(not node.operand.value), node
-            )
-        return node
-
-    # -- dead-branch elimination ----------------------------------------
-
-    def visit_If(self, node):
-        self.generic_visit(node)
-        if not node.body:
-            node.body = [ast.Pass()]
-        if isinstance(node.test, ast.Constant):
-            self.changed = True
-            taken = node.body if node.test.value else node.orelse
-            return taken or None
-        return node
-
-    def visit_IfExp(self, node):
-        self.generic_visit(node)
-        if isinstance(node.test, ast.Constant):
-            self.changed = True
-            return node.body if node.test.value else node.orelse
-        return node
-
-    # While tests are deliberately *not* used for elimination: folding
-    # their operands is safe, removing a loop is not worth proving.
-
-
-def _binding_candidates(func: ast.FunctionDef) -> dict[str, ast.Assign]:
-    """Locals eligible for constant propagation: bound exactly once, by
-    a simple single-``Name`` ``Assign``, and never rebound/shadowed by
-    any other binding construct (loop targets, comprehensions, lambdas,
-    ``del``, augmented assignment, nested scopes, ...)."""
-    counts: dict[str, int] = {}
-    simple: dict[str, ast.Assign] = {}
-    disqualified: set[str] = set()
-
-    def _disqualify_names(target) -> None:
-        for inner in ast.walk(target):
-            if isinstance(inner, ast.Name):
-                disqualified.add(inner.id)
-
-    args = func.args
-    for arg in (
-        args.posonlyargs + args.args + args.kwonlyargs
-        + ([args.vararg] if args.vararg else [])
-        + ([args.kwarg] if args.kwarg else [])
-    ):
-        disqualified.add(arg.arg)
-
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign):
-            if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-                name = node.targets[0].id
-                counts[name] = counts.get(name, 0) + 1
-                simple[name] = node
-            else:
-                for target in node.targets:
-                    _disqualify_names(target)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            _disqualify_names(node.target)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            _disqualify_names(node.target)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if item.optional_vars is not None:
-                    _disqualify_names(item.optional_vars)
-        elif isinstance(node, ast.comprehension):
-            _disqualify_names(node.target)
-        elif isinstance(node, ast.NamedExpr):
-            _disqualify_names(node.target)
-        elif isinstance(node, ast.Lambda):
-            inner = node.args
-            for arg in (
-                inner.posonlyargs + inner.args + inner.kwonlyargs
-                + ([inner.vararg] if inner.vararg else [])
-                + ([inner.kwarg] if inner.kwarg else [])
-            ):
-                disqualified.add(arg.arg)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node is not func:
-                disqualified.add(node.name)
-        elif isinstance(node, ast.ClassDef):
-            disqualified.add(node.name)
-        elif isinstance(node, (ast.Global, ast.Nonlocal)):
-            disqualified.update(node.names)
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                _disqualify_names(target)
-        elif isinstance(node, ast.ExceptHandler) and node.name:
-            disqualified.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                disqualified.add(alias.asname or alias.name.split(".")[0])
-
-    return {
-        name: node
-        for name, node in simple.items()
-        if counts.get(name) == 1 and name not in disqualified
-    }
-
-
-def _strip_annotations(func: ast.FunctionDef) -> None:
-    """Signature annotations reference lazily-evaluated names (the
-    pipeline module uses ``from __future__ import annotations``); the
-    generated module does not, so drop them."""
-    func.returns = None
-    func.decorator_list = []
-    args = func.args
-    for arg in (
-        args.posonlyargs + args.args + args.kwonlyargs
-        + ([args.vararg] if args.vararg else [])
-        + ([args.kwarg] if args.kwarg else [])
-    ):
-        arg.annotation = None
-
-
-class _AssignRemover(ast.NodeTransformer):
-    def __init__(self, dead: set[int]):
-        self.dead = dead
-
-    def visit_Assign(self, node):
-        if id(node) in self.dead:
-            return None
-        self.generic_visit(node)
-        return node
-
-
-def _ensure_bodies(func: ast.FunctionDef) -> None:
-    """Branch elimination can leave a required statement list empty;
-    re-insert ``pass`` so the function still parses."""
-    for node in ast.walk(func):
-        if getattr(node, "body", None) == []:
-            node.body = [ast.Pass()]
-
-
-def specialize_method(name: str, inputs: SpecializationInputs) -> ast.FunctionDef:
-    """Parse the generic method and fold it to a fixpoint for one point."""
-    source = textwrap.dedent(inspect.getsource(getattr(PipelineSimulator, name)))
-    func = ast.parse(source).body[0]
-    if not isinstance(func, ast.FunctionDef):
-        raise SpecializationUnsupported(f"{name} is not a plain function")
-    _strip_annotations(func)
-    candidates = _binding_candidates(func)
-    const_locals: dict[str, object] = {}
-    fact_locals: dict[str, bool] = {}
-    dead_assigns: set[int] = set()
-    for _ in range(_MAX_PASSES):
-        folder = _Folder(inputs, const_locals, fact_locals)
-        func = folder.visit(func)
-        changed = folder.changed
-        live = {id(node) for node in ast.walk(func)}
-        for local_name, assign in candidates.items():
-            if local_name in const_locals or local_name in fact_locals:
-                continue
-            if id(assign) not in live:
-                continue
-            value = assign.value
-            if isinstance(value, ast.Constant) and _is_embeddable(value.value):
-                # The RHS folded to a literal: propagate and drop the
-                # (side-effect-free) assignment.
-                const_locals[local_name] = value.value
-                dead_assigns.add(id(assign))
-                changed = True
-            else:
-                fact = folder._notnone_fact(value)
-                if fact is not None:
-                    # The local aliases a fact-bearing object (kept —
-                    # it is used as a value) and inherits its fact.
-                    fact_locals[local_name] = fact
-                    changed = True
-        if not changed:
-            break
-    else:
-        raise SpecializationUnsupported(f"folding {name} did not converge")
-    func = _AssignRemover(dead_assigns).visit(func)
-    _ensure_bodies(func)
-    ast.fix_missing_locations(func)
-    return func
-
-
-def build_class_source(inputs: SpecializationInputs) -> str:
-    """The full source of the specialized subclass for one point."""
-    names = list(STAGE_METHODS)
-    if not inputs.scalar_knobs["_fast_vp"]:
-        # Only ever invoked through the __init__ rebinding that the
-        # fused-VP knob gates; folding its unguarded table subscripts
-        # against _fconf_counters=None would emit dead `None[...]` code.
-        names.remove("_predict_value_fast")
-    methods = [ast.unparse(specialize_method(name, inputs)) for name in names]
-    methods.append(verify_template(inputs.verify_scheme))
-    body = "\n\n".join(textwrap.indent(method, "    ") for method in methods)
-    header = (
-        "class SpecializedPipelineSimulator(PipelineSimulator):\n"
-        f'    """Generated for fingerprint {inputs.key} '
-        '(repro.engine.specialize)."""\n\n'
-    )
-    return header + body + "\n"
-
-
-def _build_class(inputs: SpecializationInputs) -> type:
-    source = build_class_source(inputs)
-    namespace = dict(vars(_pipeline))
-    namespace["_SPEC_VERIFY_SCHEME"] = inputs.verify_scheme
-    code = compile(source, f"<specialized:{inputs.key}>", "exec")
-    exec(code, namespace)
-    cls = namespace["SpecializedPipelineSimulator"]
-    cls.__specialized_source__ = source
-    cls.__specialization_key__ = inputs.key
-    return cls
-
-
-def clear_cache() -> None:
-    """Drop all memoized classes (test isolation hook)."""
-    _CLASS_CACHE.clear()
-
-
-def simulator_class(
-    config,
-    model=None,
-    *,
-    predictor=None,
-    confidence=None,
-    update_timing: UpdateTiming = UpdateTiming.DELAYED,
-    tracer=None,
-    enabled: bool | None = None,
-) -> tuple[type, str]:
-    """The engine class for one sweep point, plus its engine-path label.
-
-    Returns ``(SpecializedPipelineSimulator, "specialized")`` on the
-    happy path and ``(PipelineSimulator, "generic (<reason>)")`` on any
-    fallback.  Never raises.  ``enabled=None`` reads
-    :data:`SPECIALIZE_ENV_VAR`; an explicit boolean overrides it (the
-    ``specialize=`` keyword of ``run_baseline``/``run_trace``).
-    """
-    if enabled is None:
-        enabled = specialization_enabled()
-    if not enabled:
-        return PipelineSimulator, "generic (specialization disabled)"
-    if tracer is not None and getattr(tracer, "enabled", True):
-        # A live tracer means every emission site must run; the generic
-        # engine's hoisted guard is the supported path.  (A disabled
-        # NullTracer folds to the same no-tracer behaviour and may
-        # specialize.)
-        return PipelineSimulator, "generic (tracer attached)"
-    try:
-        inputs = derive_inputs(config, model, predictor, confidence, update_timing)
-    except Exception as error:
-        return PipelineSimulator, f"generic (unsupported configuration: {error})"
-    cached = _CLASS_CACHE.get(inputs.key)
-    if cached is not None:
-        cls, path = cached
-        if cls is None:
-            return PipelineSimulator, path
-        return cls, path
-    try:
-        cls = _build_class(inputs)
-    except Exception as error:
-        path = f"generic (codegen failed: {error})"
-        _log.warning(
-            "engine specialization fell back for key %s: %s", inputs.key, path
-        )
-        _CLASS_CACHE[inputs.key] = (None, path)
-        return PipelineSimulator, path
-    _CLASS_CACHE[inputs.key] = (cls, "specialized")
-    return cls, "specialized"
+def simulator_class(*args, **kwargs) -> tuple[type, str]:
+    """The one scalar engine class and its engine-path label."""
+    return PipelineSimulator, "scalar"

@@ -23,12 +23,6 @@ Design rules that keep ``--jobs N`` cycle-exact against ``--jobs 1``:
   already deterministic; the seeding is a guard rail, not a dependency.)
 * Results are merged by *submission index*, never by completion order:
   ``run_jobs`` returns results positionally aligned with its input list.
-* Workers build their config-specialized engine classes locally.
-  ``_execute`` runs ``run_baseline``/``run_trace`` in-process, so each
-  pool worker grows its own fingerprint-keyed class cache
-  (:mod:`repro.engine.specialize`); generated classes are never pickled
-  or shipped, and ``REPRO_ENGINE_SPECIALIZE=0`` (exported by
-  ``--no-specialize``) is inherited through the worker environment.
 
 The sequential path (``jobs <= 1``) runs the exact same ``_execute``
 function inline — same trace cache, same factory handling — so it is not
@@ -92,11 +86,25 @@ _log = logging.getLogger(__name__)
 DEFAULT_MAX_ATTEMPTS = 3
 
 _STRICT_TRUE = frozenset({"1", "true", "yes", "on"})
+_STRICT_FALSE = frozenset({"", "0", "false", "no", "off"})
 
 
 def strict_no_capture() -> bool:
-    """Whether ``REPRO_TRACE_STRICT`` asks workers to never capture."""
-    return os.environ.get(STRICT_ENV_VAR, "").strip().lower() in _STRICT_TRUE
+    """Whether ``REPRO_TRACE_STRICT`` asks workers to never capture.
+
+    Any spelling outside the accepted true/false sets raises rather
+    than silently reading as off (which would make a zero-capture gate
+    pass without checking anything)."""
+    raw = os.environ.get(STRICT_ENV_VAR, "")
+    value = raw.strip().lower()
+    if value in _STRICT_TRUE:
+        return True
+    if value in _STRICT_FALSE:
+        return False
+    raise ValueError(
+        f"{STRICT_ENV_VAR}={raw!r} is not a boolean "
+        "(use 1/true/yes/on, or 0/false/no/off or unset to disable)"
+    )
 
 
 @dataclass(frozen=True)

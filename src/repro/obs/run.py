@@ -76,10 +76,9 @@ class InstrumentedRun:
 
     @property
     def engine_path(self) -> str:
-        """Which engine produced this run (instrumented runs attach a
-        live tracer, so the expected answer is the generic fallback —
-        stated explicitly so perf investigations are attributable)."""
-        return self.result.engine_path or "generic"
+        """Which engine produced this run (always the scalar engine: the
+        batched engine takes no tracer)."""
+        return self.result.engine_path or "scalar"
 
 
 def run_instrumented(

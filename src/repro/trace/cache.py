@@ -58,7 +58,8 @@ ENV_VAR = "REPRO_TRACE_CACHE"
 #: entries.  Unset = the format default (1M records); a positive integer
 #: overrides it; any falsy spelling ("0", "off", "none", ...) disables
 #: chunked storage entirely (every capture materializes in memory and
-#: stores v3, the pre-streaming behavior).
+#: stores v3, the pre-streaming behavior); anything else, a negative
+#: count included, raises ``ValueError``.
 CHUNK_ENV_VAR = "REPRO_TRACE_CHUNK"
 
 #: ``REPRO_TRACE_CACHE`` values that turn the cache off.  Any common
@@ -88,13 +89,13 @@ def chunk_records() -> int | None:
         return None
     try:
         value = int(raw)
-    except ValueError as error:
-        raise ValueError(
-            f"{CHUNK_ENV_VAR}={raw!r} is not an integer chunk size "
-            "(records per chunk, or 0/off to disable chunked storage)"
-        ) from error
+    except ValueError:
+        value = 0
     if value < 1:
-        return None
+        raise ValueError(
+            f"{CHUNK_ENV_VAR}={raw!r} is not a chunk size (use a positive "
+            "records-per-chunk count, or 0/off to disable chunked storage)"
+        )
     return value
 
 

@@ -270,9 +270,7 @@ class TestExecuteAndReport:
         _, _, mismatches, report = executed_report
         assert mismatches == []
         engine_entries = [e for e in report["components"] if e["engine"]]
-        assert {e["label"] for e in engine_entries} == {
-            "no-engine-batching", "no-engine-specialization"
-        }
+        assert {e["label"] for e in engine_entries} == {"no-engine-batching"}
         for entry in engine_entries:
             assert entry["importance"] == 0.0
             assert not entry["harmful"]

@@ -35,7 +35,7 @@ from repro.harness.parallel import (
     run_jobs,
 )
 from repro.programs.micro import micro_kernel
-from repro.programs.suite import benchmark_suite
+from repro.programs.suite import benchmark_suite, kernel
 from repro.trace.capture import capture_trace
 from repro.vp.confidence import SaturatingConfidenceEstimator
 from repro.vp.hybrid import HybridPredictor
@@ -292,3 +292,16 @@ def test_tracer_runs_stay_scalar_and_consistent():
     job = SimJob("compress", config, GREAT_MODEL, None, "R", "I")
     (batched,) = run_batch([job], trace)
     assert counters_dict(batched.counters) == counters_dict(traced.counters)
+
+
+def test_batched_lanes_report_engine_path():
+    """Batched lanes say so in ``engine_path``; the same jobs run one by
+    one report the scalar engine."""
+    config = ProcessorConfig(issue_width=4, window_size=24)
+    jobs = [
+        SimJob("compress", config, None, 400),
+        SimJob("compress", config, GREAT_MODEL, 400),
+    ]
+    trace = kernel("compress").trace(400)
+    assert [r.engine_path for r in run_batch(jobs, trace)] == ["batched"] * 2
+    assert [r.engine_path for r in run_jobs(jobs, 1, batch=1)] == ["scalar"] * 2

@@ -1,5 +1,6 @@
 """Documentation consistency checks: the docs must track the code."""
 
+import re
 from pathlib import Path
 
 from repro.harness.experiments import EXPERIMENTS
@@ -75,3 +76,22 @@ def test_examples_are_documented_in_readme():
     examples = sorted(p.name for p in (_ROOT / "examples").glob("*.py"))
     for example in examples:
         assert example in text, f"README missing {example}"
+
+
+_ENV_VAR = re.compile(r"REPRO_[A-Z_]+")
+
+
+def _env_vars(paths) -> set[str]:
+    return {name for path in paths for name in _ENV_VAR.findall(path.read_text())}
+
+
+def test_env_vars_in_source_match_the_docs():
+    """Every ``REPRO_*`` variable the code reads is documented, and the
+    docs name none the code no longer reads."""
+    in_source = _env_vars((_ROOT / "src").rglob("*.py"))
+    in_docs = _env_vars([_ROOT / "README.md", *(_ROOT / "docs").glob("*.md")])
+    assert in_source, "no REPRO_* variables found under src/"
+    assert in_source == in_docs, (
+        f"undocumented: {sorted(in_source - in_docs)}; "
+        f"documented but unused: {sorted(in_docs - in_source)}"
+    )

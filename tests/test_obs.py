@@ -115,6 +115,10 @@ def test_instrumented_counters_bit_identical(fib_good):
     assert plain.counters == null.counters == fib_good.result.counters
 
 
+def test_instrumented_runs_attribute_their_engine_path(fib_good):
+    assert fib_good.engine_path == fib_good.result.engine_path == "scalar"
+
+
 # -- aggregation ----------------------------------------------------------
 
 

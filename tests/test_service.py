@@ -164,7 +164,9 @@ class TestResultStore:
         assert rs.evict_store(tmp_path, max_entries=3) == 2
         survivors = {p.stem for p in rs.store_entries(tmp_path)}
         assert survivors == set(keys[2:])  # the two oldest evicted
-        entry_bytes = rs.store_entries(tmp_path)[0].stat().st_size
+        # Entry sizes differ by a byte or so (the CRC is stored as a
+        # decimal integer), so budget for the largest single entry.
+        entry_bytes = max(p.stat().st_size for p in rs.store_entries(tmp_path))
         assert rs.evict_store(tmp_path, max_bytes=entry_bytes) == 2
         assert {p.stem for p in rs.store_entries(tmp_path)} == {keys[4]}
 

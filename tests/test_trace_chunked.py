@@ -282,9 +282,12 @@ class TestCacheIntegration:
     def test_chunk_env_rejects_garbage(self, monkeypatch):
         from repro.trace import cache as trace_cache
 
-        monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, "many")
-        with pytest.raises(ValueError):
-            trace_cache.chunk_records()
+        for value in ("many", "-5", "-1", "1.5"):
+            monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, value)
+            with pytest.raises(ValueError, match=f"REPRO_TRACE_CHUNK='{value}'"):
+                trace_cache.chunk_records()
+        monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, "0")
+        assert trace_cache.chunk_records() is None
 
     def test_cache_info_reports_chunk_breakdown(self, monkeypatch, tmp_path):
         from repro.trace import cache as trace_cache

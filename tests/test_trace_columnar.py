@@ -342,6 +342,10 @@ def test_strict_env_parsing(monkeypatch):
     for value in ("", "0", "off", "no"):
         monkeypatch.setenv("REPRO_TRACE_STRICT", value)
         assert not strict_no_capture(), value
+    for value in ("2", "enabled", "y"):
+        monkeypatch.setenv("REPRO_TRACE_STRICT", value)
+        with pytest.raises(ValueError, match=f"REPRO_TRACE_STRICT='{value}'"):
+            strict_no_capture()
     monkeypatch.delenv("REPRO_TRACE_STRICT")
     assert not strict_no_capture()
 
