@@ -1,43 +1,26 @@
-"""The config-specialized engine codegen (repro.engine.specialize).
+"""The scalar engine class, driven directly, against the golden snapshots.
 
-Equivalence strategy: the golden suites (``test_golden_counters.py``,
-``test_golden_variants.py``) now pin the *specialized* path, because
-specialization is on by default.  This file pins the *generic* path
-against the very same snapshot JSONs — both engines bit-identical to
-one frozen truth is both engines bit-identical to each other, for every
-snapshot, at the cost of one extra pass per snapshot.
-
-On top of that: direct generic-vs-specialized equivalence across every
-verification x invalidation scheme pair (branches the golden grids
-never take), fingerprint-keyed cache behaviour, the full fallback
-ladder (env kill-switch, explicit keyword, live tracer, codegen
-failure), and backend bit-identity of a small grid on the serial, pool
-and cluster backends.
+``test_golden_counters.py`` and ``test_golden_variants.py`` pin the
+``run_baseline``/``run_trace`` wrappers.  This file builds
+:class:`PipelineSimulator` itself from the snapshot's settings, so the
+engine class and the wrappers are each held to the same frozen counters,
+and checks that the wrappers label their runs ``"scalar"``.  (The file
+name is kept from when it also covered a config-specialized engine.)
 """
 
 import json
-from dataclasses import fields, replace
+from dataclasses import fields
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from repro.asm import assemble
-from repro.core.model import GREAT_MODEL, SpeculativeExecutionModel
-from repro.core.variables import (
-    InvalidationScheme,
-    VerificationScheme,
-)
-from repro.engine.config import ProcessorConfig, paper_config
+from repro.core.model import GREAT_MODEL
+from repro.engine.config import ProcessorConfig
 from repro.engine.pipeline import PipelineSimulator
-from repro.engine.sim import run_baseline, run_trace
-from repro.engine.specialize import (
-    SPECIALIZE_ENV_VAR,
-    clear_cache,
-    simulator_class,
-)
+from repro.engine.sim import make_confidence, run_baseline, run_trace
 from repro.func import Machine
-from repro.harness.parallel import SimJob, run_jobs
 from repro.programs.micro import micro_kernel
 from repro.programs.suite import benchmark_suite
 from repro.trace.capture import capture_trace
@@ -46,6 +29,7 @@ from repro.vp.hybrid import HybridPredictor
 from repro.vp.last_value import LastValuePredictor
 from repro.vp.stride import StridePredictor
 from repro.vp.tagged import TaggedContextPredictor
+from repro.vp.update_timing import UpdateTiming
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 MAIN_SNAPSHOTS = sorted(GOLDEN_DIR.glob("*.json"))
@@ -55,7 +39,7 @@ MICRO_TRACE_LIMIT = 3000
 SPEC_TRACE_LIMIT = 2000
 
 _CONFIDENCE = {
-    "R": lambda: "R",
+    "R": lambda: make_confidence("R"),
     "SaturatingConfidenceEstimator": SaturatingConfidenceEstimator,
 }
 _PREDICTOR = {
@@ -94,29 +78,29 @@ def _snapshot_config(snapshot) -> ProcessorConfig:
     )
 
 
-# -- generic path pinned against every golden snapshot ---------------------
-
-
 @pytest.mark.parametrize(
     "path", MAIN_SNAPSHOTS, ids=[p.stem for p in MAIN_SNAPSHOTS]
 )
 def test_generic_matches_golden(path):
-    """specialize=False reproduces every main snapshot bit-for-bit (the
-    specialized path is pinned by test_golden_counters.py)."""
+    """PipelineSimulator reproduces every main snapshot bit-for-bit."""
     snapshot = json.loads(path.read_text())
     trace = _load_trace(snapshot["workload"])
     config = _snapshot_config(snapshot)
 
-    base = run_baseline(trace, config, specialize=False)
-    assert base.engine_path == "generic (specialization disabled)"
-    assert counters_dict(base.counters) == snapshot["base"]
+    base = PipelineSimulator(trace, config).run()
+    assert counters_dict(base) == snapshot["base"]
 
-    vp = run_trace(
-        trace, config, GREAT_MODEL, confidence="R", update_timing="D",
-        specialize=False,
-    )
-    assert vp.engine_path == "generic (specialization disabled)"
-    assert counters_dict(vp.counters) == snapshot["vp"]
+    vp = PipelineSimulator(
+        trace,
+        config,
+        GREAT_MODEL,
+        confidence=make_confidence("R"),
+        update_timing=UpdateTiming.DELAYED,
+    ).run()
+    assert counters_dict(vp) == snapshot["vp"]
+
+    assert run_baseline(trace, config).engine_path == "scalar"
+    assert run_trace(trace, config, GREAT_MODEL).engine_path == "scalar"
 
 
 @pytest.mark.parametrize(
@@ -125,219 +109,12 @@ def test_generic_matches_golden(path):
 def test_generic_matches_golden_variants(path):
     snapshot = json.loads(path.read_text())
     trace = _load_trace(snapshot["workload"])
-    result = run_trace(
+    counters = PipelineSimulator(
         trace,
         _snapshot_config(snapshot),
         GREAT_MODEL,
         confidence=_CONFIDENCE[snapshot["confidence"]](),
-        update_timing=snapshot["update_timing"],
+        update_timing=UpdateTiming(snapshot["update_timing"]),
         predictor=_PREDICTOR[snapshot["predictor"]](),
-        specialize=False,
-    )
-    assert result.engine_path == "generic (specialization disabled)"
-    assert counters_dict(result.counters) == snapshot["vp"]
-
-
-# -- scheme pairs the golden grids never reach -----------------------------
-
-
-_SCHEME_PAIRS = [
-    (verification, invalidation)
-    for verification in VerificationScheme
-    for invalidation in InvalidationScheme
-]
-
-
-@pytest.mark.parametrize(
-    "verification,invalidation",
-    _SCHEME_PAIRS,
-    ids=[f"{v.name}__{i.name}" for v, i in _SCHEME_PAIRS],
-)
-def test_scheme_pairs_specialized_equals_generic(verification, invalidation):
-    """Every verification x invalidation pair folds to a specialized
-    class whose counters match the generic engine exactly."""
-    model = SpeculativeExecutionModel(
-        name=f"spec-test-{verification.name}-{invalidation.name}",
-        variables=replace(
-            GREAT_MODEL.variables,
-            verification=verification,
-            invalidation=invalidation,
-        ),
-        latencies=GREAT_MODEL.latencies,
-    )
-    trace = _load_trace("micro_fib")[:800]
-    config = paper_config("4/24")
-    specialized = run_trace(
-        trace, config, model, confidence="R", update_timing="D",
-        specialize=True,
-    )
-    generic = run_trace(
-        trace, config, model, confidence="R", update_timing="D",
-        specialize=False,
-    )
-    assert specialized.engine_path == "specialized"
-    assert counters_dict(specialized.counters) == counters_dict(
-        generic.counters
-    )
-
-
-# -- class cache -----------------------------------------------------------
-
-
-def test_cache_hits_on_equal_fingerprint():
-    clear_cache()
-    first, path_first = simulator_class(paper_config("8/48"), GREAT_MODEL)
-    again, path_again = simulator_class(paper_config("8/48"), GREAT_MODEL)
-    assert path_first == path_again == "specialized"
-    assert first is again, "equal fingerprints must share one class"
-    other, _ = simulator_class(paper_config("4/24"), GREAT_MODEL)
-    assert other is not first, "different configs must not share a class"
-    assert first.__specialization_key__ != other.__specialization_key__
-
-
-def test_specialized_class_is_pipeline_subclass_with_source():
-    cls, path = simulator_class(paper_config("8/48"), GREAT_MODEL)
-    assert path == "specialized"
-    assert issubclass(cls, PipelineSimulator) and cls is not PipelineSimulator
-    assert "class SpecializedPipelineSimulator" in cls.__specialized_source__
-
-
-# -- fallback ladder -------------------------------------------------------
-
-
-def test_env_kill_switch_forces_generic(monkeypatch):
-    monkeypatch.setenv(SPECIALIZE_ENV_VAR, "0")
-    cls, path = simulator_class(paper_config("8/48"), GREAT_MODEL)
-    assert cls is PipelineSimulator
-    assert path == "generic (specialization disabled)"
-    trace = _load_trace("micro_fib")[:200]
-    result = run_baseline(trace, paper_config("4/24"))
-    assert result.engine_path == "generic (specialization disabled)"
-
-
-def test_explicit_keyword_overrides_env(monkeypatch):
-    monkeypatch.setenv(SPECIALIZE_ENV_VAR, "0")
-    cls, path = simulator_class(
-        paper_config("8/48"), GREAT_MODEL, enabled=True
-    )
-    assert path == "specialized" and cls is not PipelineSimulator
-
-
-def test_live_tracer_falls_back_generic():
-    from repro.obs.tracer import PipelineTracer
-
-    cls, path = simulator_class(
-        paper_config("8/48"), GREAT_MODEL, tracer=PipelineTracer()
-    )
-    assert cls is PipelineSimulator
-    assert path == "generic (tracer attached)"
-
-
-def test_codegen_failure_falls_back_and_caches(monkeypatch):
-    import repro.engine.specialize as specialize
-
-    clear_cache()
-    calls = []
-
-    def explode(inputs):
-        calls.append(inputs.key)
-        raise specialize.SpecializationUnsupported("injected failure")
-
-    monkeypatch.setattr(specialize, "build_class_source", explode)
-    cls, path = simulator_class(paper_config("8/48"), GREAT_MODEL)
-    assert cls is PipelineSimulator
-    assert path.startswith("generic (codegen failed:")
-    assert "injected failure" in path
-    # The failure is cached: the second lookup replays the reason
-    # without paying codegen again.
-    cls2, path2 = simulator_class(paper_config("8/48"), GREAT_MODEL)
-    assert cls2 is PipelineSimulator and path2 == path
-    assert len(calls) == 1
-    clear_cache()
-
-
-def test_fallback_runs_still_produce_correct_counters(monkeypatch):
-    """A codegen failure must degrade performance, never results."""
-    import repro.engine.specialize as specialize
-
-    trace = _load_trace("micro_fib")[:400]
-    config = paper_config("4/24")
-    want = run_trace(trace, config, GREAT_MODEL, specialize=False)
-
-    clear_cache()
-    monkeypatch.setattr(
-        specialize,
-        "build_class_source",
-        lambda inputs: (_ for _ in ()).throw(RuntimeError("boom")),
-    )
-    got = run_trace(trace, config, GREAT_MODEL)
-    assert got.engine_path.startswith("generic (codegen failed:")
-    assert counters_dict(got.counters) == counters_dict(want.counters)
-    clear_cache()
-
-
-# -- backends --------------------------------------------------------------
-
-
-_BACKEND_CONFIG = ProcessorConfig(issue_width=4, window_size=24)
-_BACKEND_LIMIT = 400
-
-
-def _backend_grid() -> list[SimJob]:
-    jobs = []
-    for name in ("compress", "perl"):
-        jobs.append(SimJob(name, _BACKEND_CONFIG, None, _BACKEND_LIMIT))
-        jobs.append(SimJob(name, _BACKEND_CONFIG, GREAT_MODEL, _BACKEND_LIMIT))
-    return jobs
-
-
-def _grid_counters(results) -> list[dict]:
-    return [counters_dict(r.counters) for r in results]
-
-
-def test_backends_specialized_equals_generic(monkeypatch):
-    """One small grid, four ways: the generic serial reference versus
-    the specialized serial, pool and cluster backends — merged cells
-    bit-identical everywhere (engine_path legitimately differs and is
-    excluded from result equality by design)."""
-    grid = _backend_grid()
-    monkeypatch.setenv(SPECIALIZE_ENV_VAR, "0")
-    reference = run_jobs(grid, jobs=1)
-    assert all(
-        r.engine_path == "generic (specialization disabled)" for r in reference
-    )
-    monkeypatch.delenv(SPECIALIZE_ENV_VAR)
-
-    serial = run_jobs(grid, jobs=1)
-    assert all(r.engine_path == "specialized" for r in serial)
-    assert _grid_counters(serial) == _grid_counters(reference)
-    assert serial == reference  # engine_path is compare=False
-
-    pooled = run_jobs(grid, jobs=4)
-    assert _grid_counters(pooled) == _grid_counters(reference)
-
-    clustered = run_jobs(grid, jobs=2, backend="cluster")
-    assert _grid_counters(clustered) == _grid_counters(reference)
-
-
-def test_batched_lanes_report_engine_path():
-    from repro.engine.batched import run_batch
-    from repro.programs.suite import kernel
-
-    trace = kernel("compress").trace(_BACKEND_LIMIT)
-    jobs = [
-        SimJob("compress", _BACKEND_CONFIG, None, _BACKEND_LIMIT),
-        SimJob("compress", _BACKEND_CONFIG, GREAT_MODEL, _BACKEND_LIMIT),
-    ]
-    results = run_batch(jobs, trace)
-    assert [r.engine_path for r in results] == [
-        "batched (specialized)",
-        "batched (specialized)",
-    ]
-
-
-def test_instrumented_runs_attribute_their_engine_path():
-    from repro.obs.run import run_instrumented
-
-    run = run_instrumented("micro:fib", max_instructions=500)
-    assert run.engine_path == "generic (tracer attached)"
+    ).run()
+    assert counters_dict(counters) == snapshot["vp"]
