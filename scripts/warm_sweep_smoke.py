@@ -6,7 +6,10 @@ cache:
 
 1. **Cold** — captures each distinct (benchmark, limit) trace exactly
    once and populates the VSRT v3 cache.
-2. **Warm, fanned** — re-runs the grid with ``--jobs N`` workers under
+2. **Table 1** — measures Table 1 at the same limit.  It reads through
+   the trace cache the cold sweep just filled, so it must capture zero
+   traces: a reproduction captures each kernel once.
+3. **Warm, fanned** — re-runs the grid with ``--jobs N`` workers under
    ``REPRO_TRACE_STRICT=1``, so any worker that would fall back to
    functional capture *fails the run* instead: the sweep completing is
    the proof that warm sweeps perform **zero trace regenerations**
@@ -48,7 +51,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument(
-        "--benchmarks", nargs="+", default=["compress", "m88ksim", "perl"]
+        "--benchmarks",
+        nargs="+",
+        default=None,
+        help="kernels to sweep (default: the whole suite, which the "
+        "Table 1 pass covers)",
     )
     parser.add_argument("--max-instructions", type=int, default=1500)
     parser.add_argument(
@@ -66,7 +73,10 @@ def main(argv: list[str] | None = None) -> int:
     from repro.core.model import GOOD_MODEL, GREAT_MODEL
     from repro.engine.config import ProcessorConfig
     from repro.harness import parallel
-    from repro.programs.suite import KernelSpec
+    from repro.harness.table1 import run_table1
+    from repro.programs.suite import KernelSpec, kernel_names
+
+    benchmarks = args.benchmarks or kernel_names()
 
     # Count both capture forms: the trace cache streams captures through
     # ``iter_trace`` and falls back to ``trace`` when it cannot write.
@@ -85,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     config = ProcessorConfig(issue_width=4, window_size=24)
     jobs = [
         parallel.SimJob(name, config, model, args.max_instructions)
-        for name in args.benchmarks
+        for name in benchmarks
         for model in (None, GREAT_MODEL, GOOD_MODEL)
     ]
 
@@ -95,10 +105,24 @@ def main(argv: list[str] | None = None) -> int:
     cold = parallel.run_jobs(jobs, jobs=1)
     cold_seconds = time.perf_counter() - start
     cold_captures = captures["count"]
-    if cold_captures != len(args.benchmarks):
+    if cold_captures != len(benchmarks):
         print(
             f"FAIL: cold sweep captured {cold_captures} traces, expected "
-            f"one per benchmark ({len(args.benchmarks)})"
+            f"one per benchmark ({len(benchmarks)})"
+        )
+        status = 1
+
+    # Table 1 covers the whole suite; only kernels the sweep left out
+    # may be captured here.
+    expected_table1 = len(set(kernel_names()) - set(benchmarks))
+    start = time.perf_counter()
+    run_table1(args.max_instructions)
+    table1_seconds = time.perf_counter() - start
+    table1_captures = captures["count"] - cold_captures
+    if table1_captures != expected_table1:
+        print(
+            f"FAIL: Table 1 captured {table1_captures} traces after the "
+            f"cold sweep, expected {expected_table1}"
         )
         status = 1
 
@@ -113,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: warm sweep regenerated a trace: {exc}")
         return 1
     warm_seconds = time.perf_counter() - start
-    warm_captures = captures["count"] - cold_captures
+    warm_captures = captures["count"] - cold_captures - table1_captures
     if warm_captures:
         print(f"FAIL: warm sweep captured {warm_captures} traces in the parent")
         status = 1
@@ -133,6 +157,8 @@ def main(argv: list[str] | None = None) -> int:
         ("cold (jobs=1, capture+store)", f"{cold_seconds:.2f} s"),
         (f"warm (jobs={args.jobs}, strict)", f"{warm_seconds:.2f} s"),
         ("cold captures", str(cold_captures)),
+        ("Table 1 on the cold sweep's cache", f"{table1_seconds:.2f} s"),
+        (f"Table 1 captures (must be {expected_table1})", str(table1_captures)),
         ("warm captures (must be 0)", str(warm_captures)),
         ("cache entries", f"{len(entries)} ({cache_bytes:,} bytes)"),
         ("peak RSS, parent", f"{own_rss:.1f} MiB"),

@@ -20,7 +20,7 @@ _LOAD_SIZES = {Opcode.LD: 8, Opcode.LW: 4, Opcode.LBU: 1}
 _STORE_SIZES = {Opcode.SD: 8, Opcode.SW: 4, Opcode.SB: 1}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepResult:
     """Everything observable about one architecturally executed instruction.
 
@@ -28,6 +28,9 @@ class StepResult:
     needs the destination value (for value-prediction equality checks), the
     effective address (for cache/LSQ modeling) and the control outcome (for
     branch-prediction modeling).
+
+    Not frozen: one is built per executed instruction, and a frozen
+    dataclass's ``__init__`` pays an ``object.__setattr__`` per field.
     """
 
     pc: int

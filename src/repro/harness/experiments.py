@@ -102,12 +102,13 @@ def _run_limit_study(
 ) -> str:
     from repro.analysis.limits import limit_study, render_limit_study
     from repro.programs.suite import benchmark_suite
+    from repro.trace.cache import cached_trace
 
     parts = []
     for spec in benchmark_suite():
         if benchmarks is not None and spec.name not in benchmarks:
             continue
-        trace = spec.trace(max_instructions)
+        trace = cached_trace(spec.name, max_instructions)
         parts.append(render_limit_study(limit_study(trace), spec.name))
     if not parts:
         raise ValueError(f"no benchmarks selected from {benchmarks!r}")

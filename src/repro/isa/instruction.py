@@ -27,14 +27,34 @@ class Instruction:
     rt: int | None = None
     imm: int = 0
     label: str | None = field(default=None, compare=False)
+    # Decoded once, at construction: the functional simulator reads these
+    # on every dynamic execution of the instruction.
+    opclass: OpClass = field(init=False, repr=False, compare=False)
+    format: InstrFormat = field(init=False, repr=False, compare=False)
+    src_regs: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def opclass(self) -> OpClass:
-        return self.opcode.opclass
-
-    @property
-    def format(self) -> InstrFormat:
-        return self.opcode.format
+    def __post_init__(self) -> None:
+        opcode = self.opcode
+        fmt = opcode.format
+        set_field = object.__setattr__
+        set_field(self, "opclass", opcode.opclass)
+        set_field(self, "format", fmt)
+        sources: tuple[int | None, ...]
+        if fmt is InstrFormat.R or fmt is InstrFormat.B:
+            sources = (self.rs, self.rt)
+        elif fmt in (InstrFormat.I, InstrFormat.BZ, InstrFormat.JR, InstrFormat.JLR):
+            sources = (self.rs,)
+        elif fmt is InstrFormat.MEM:
+            # Loads read the base register; stores read base and data.
+            if opcode.opclass is OpClass.STORE:
+                sources = (self.rs, self.rt)
+            else:
+                sources = (self.rs,)
+        else:  # LI, J, JL, N — no register sources
+            sources = ()
+        set_field(
+            self, "src_regs", tuple(r for r in sources if r is not None and r != 0)
+        )
 
     @property
     def writes_register(self) -> bool:
@@ -48,23 +68,7 @@ class Instruction:
         Reads of ``r0`` are omitted: the zero register is constant and never
         creates a dataflow dependence.
         """
-        fmt = self.format
-        sources: tuple[int | None, ...]
-        if fmt is InstrFormat.R:
-            sources = (self.rs, self.rt)
-        elif fmt in (InstrFormat.I, InstrFormat.BZ, InstrFormat.JR, InstrFormat.JLR):
-            sources = (self.rs,)
-        elif fmt is InstrFormat.MEM:
-            # Loads read the base register; stores read base and data.
-            if self.opclass is OpClass.STORE:
-                sources = (self.rs, self.rt)
-            else:
-                sources = (self.rs,)
-        elif fmt is InstrFormat.B:
-            sources = (self.rs, self.rt)
-        else:  # LI, J, JL, N — no register sources
-            sources = ()
-        return tuple(r for r in sources if r is not None and r != 0)
+        return self.src_regs
 
     def render(self) -> str:
         """Render back to assembly text."""

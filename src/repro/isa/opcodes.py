@@ -34,6 +34,11 @@ class OpClass(enum.Enum):
     IJUMP = "ijump"  # indirect jump (jr / jalr / ret)
     SYSCALL = "syscall"  # environment call (halt, print)
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is consistent with equality; ``Enum.__hash__`` is a Python-level
+    # ``hash(self._name_)`` paid on every table lookup in the hot paths.
+    __hash__ = object.__hash__
+
     @property
     def is_memory(self) -> bool:
         return self in (OpClass.LOAD, OpClass.STORE)
@@ -148,32 +153,28 @@ class Opcode(enum.Enum):
     NOP = "nop"
     PRINT = "print"  # debug aid: print register (no architectural effect)
 
+    __hash__ = object.__hash__  # see OpClass.__hash__
+
+    # Per-member attributes, set once at import from the tables below, so
+    # the hot paths read them directly instead of hashing the member into
+    # a table on every access.
+
+    #: Functional class (``OPCLASS_BY_OPCODE``).
+    opclass: OpClass
+    #: Assembly/encoding format (``FORMAT_BY_OPCODE``).
+    format: InstrFormat
+    #: Stable numeric opcode used by the binary encoding: the member's
+    #: ordinal position.
+    code: int
+    #: True when the instruction produces a register result.
+    #: Register-writing instructions are the ones eligible for value
+    #: prediction (Section 5.2: the predictor is indexed by the PC of the
+    #: predicted instruction and produces its output value).
+    writes_register: bool
+
     @property
     def mnemonic(self) -> str:
         return self.value
-
-    @property
-    def opclass(self) -> OpClass:
-        return OPCLASS_BY_OPCODE[self]
-
-    @property
-    def format(self) -> InstrFormat:
-        return FORMAT_BY_OPCODE[self]
-
-    @property
-    def writes_register(self) -> bool:
-        """True when the instruction produces a register result.
-
-        Register-writing instructions are the ones eligible for value
-        prediction (Section 5.2: the predictor is indexed by the PC of the
-        predicted instruction and produces its output value).
-        """
-        return self in _REG_WRITERS
-
-    @property
-    def code(self) -> int:
-        """Stable numeric opcode used by the binary encoding."""
-        return _CODE_BY_OPCODE[self]
 
 
 _R = InstrFormat.R
@@ -304,6 +305,13 @@ _REG_WRITERS = _REG_WRITERS - frozenset((Opcode.NOP,))
 
 _CODE_BY_OPCODE: dict[Opcode, int] = {op: i for i, op in enumerate(Opcode)}
 OPCODE_BY_CODE: dict[int, Opcode] = {i: op for op, i in _CODE_BY_OPCODE.items()}
+
+for _op in Opcode:
+    _op.opclass = OPCLASS_BY_OPCODE[_op]
+    _op.format = FORMAT_BY_OPCODE[_op]
+    _op.code = _CODE_BY_OPCODE[_op]
+    _op.writes_register = _op in _REG_WRITERS
+del _op
 
 #: Size, in bytes, of every encoded VSR instruction.  Fixed length keeps the
 #: trivial PC dependence trivial (Section 1 of the paper).

@@ -213,12 +213,24 @@ def store_trace(
         tmp.write_bytes(data)
         os.replace(tmp, path)
     except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
+        _discard(tmp)
         return None
+    except BaseException:
+        _discard(tmp)
+        raise
     return path
+
+
+def _discard(tmp: Path) -> None:
+    """Remove a temp file left by an unfinished write, if it exists.
+
+    Temp names start with a dot and end in ``.tmp``, so neither the
+    entry globs nor ``clear_cache`` would ever find a leaked one.
+    """
+    try:
+        tmp.unlink()
+    except OSError:
+        pass
 
 
 def cached_trace(
@@ -229,7 +241,10 @@ def cached_trace(
     This is the high-level entry the harness and CLI use in place of
     ``kernel(name).trace(limit)``: a hit skips the functional simulator
     entirely; a miss captures the trace and populates the cache for the
-    next caller.
+    next caller.  Every trace consumer of a reproduction reads through
+    here (Table 1, the limit study, the timing runs), so each (kernel,
+    limit) is captured once per cache directory.  With the cache off
+    every call captures afresh.
 
     Capture *streams*: with the cache writable and chunked storage on
     (``REPRO_TRACE_CHUNK``, default 1M records per chunk), records flow
@@ -268,7 +283,9 @@ def _capture_streaming(
     """Capture ``spec``'s trace with bounded memory, storing v4 (long
     captures) or v3 (captures that fit one chunk).  Returns ``None`` on
     any filesystem failure so the caller can fall back to the in-memory
-    path — caching is an optimisation, never a hard dependency.
+    path — caching is an optimisation, never a hard dependency.  Any
+    other exception (an interrupt, a faulting kernel) removes the
+    partial temp file and propagates.
     """
     path = trace_path_chunked(benchmark, spec.source, max_instructions)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -292,11 +309,11 @@ def _capture_streaming(
         os.replace(tmp, path)
         return read_trace_chunked(path)
     except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
+        _discard(tmp)
         return None
+    except BaseException:
+        _discard(tmp)
+        raise
 
 
 # -- maintenance (the `repro cache` subcommand) ---------------------------

@@ -29,22 +29,25 @@ def iter_trace(
 ) -> Iterator[TraceRecord]:
     """Yield trace records as the machine executes."""
     seq = 0
+    step = machine.step
     while not machine.halted:
         if max_instructions is not None and seq >= max_instructions:
             return
-        step = machine.step()
-        instr = step.instr
+        result = step()
+        dest_reg = result.dest_reg
+        if dest_reg == 0:
+            dest_reg = None
         yield TraceRecord(
             seq=seq,
-            pc=step.pc,
-            opcode=instr.opcode,
-            src_regs=instr.source_regs(),
-            dest_reg=step.dest_reg if step.dest_reg not in (None, 0) else None,
-            dest_value=step.dest_value if step.dest_reg not in (None, 0) else None,
-            mem_addr=step.mem_addr,
-            mem_size=step.mem_size,
-            branch_taken=step.branch_taken,
-            next_pc=step.next_pc,
+            pc=result.pc,
+            opcode=result.instr.opcode,
+            src_regs=result.instr.src_regs,
+            dest_reg=dest_reg,
+            dest_value=None if dest_reg is None else result.dest_value,
+            mem_addr=result.mem_addr,
+            mem_size=result.mem_size,
+            branch_taken=result.branch_taken,
+            next_pc=result.next_pc,
         )
         seq += 1
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.func.machine import MachineError
 from repro.programs.suite import KernelSpec, kernel
 from repro.trace import cache as trace_cache
 from repro.trace.record import TraceRecord
@@ -158,6 +159,44 @@ def test_cached_trace_works_disabled(monkeypatch, capture_counter):
     assert capture_counter["count"] == 1
 
 
+class _Interrupted(BaseException):
+    """Stands in for ``KeyboardInterrupt`` without tripping pytest's own
+    interrupt handling."""
+
+
+@pytest.mark.parametrize("error", [_Interrupted, MachineError])
+def test_interrupted_capture_leaves_no_temp_file(
+    cache_dir, monkeypatch, error
+):
+    """A capture that dies mid-stream for any reason other than a
+    filesystem error removes its partial temp file and re-raises."""
+    original_iter = KernelSpec.iter_trace
+
+    def failing_iter(self, max_instructions=None):
+        for index, record in enumerate(original_iter(self, max_instructions)):
+            if index == 50:
+                raise error("stopped mid-capture")
+            yield record
+
+    monkeypatch.setattr(KernelSpec, "iter_trace", failing_iter)
+    with pytest.raises(error):
+        trace_cache.cached_trace("compress", 200)
+    assert list(cache_dir.iterdir()) == []
+    assert trace_cache.clear_cache() == 0
+
+
+def test_unwritable_capture_falls_back_to_memory(cache_dir, monkeypatch):
+    """An ``OSError`` during the streaming capture keeps the in-memory
+    fallback: the caller still gets the trace."""
+    def failing_writer(path, chunk):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(trace_cache, "ChunkWriter", failing_writer)
+    trace = trace_cache.cached_trace("compress", 120)
+    assert list(trace) == kernel("compress").trace(120)
+    assert not any(p.name.endswith(".tmp") for p in cache_dir.iterdir())
+
+
 # -- maintenance ----------------------------------------------------------
 
 
@@ -250,3 +289,59 @@ def test_cli_cache_warm_disabled_errors(monkeypatch, capsys):
     monkeypatch.setenv(trace_cache.ENV_VAR, "off")
     assert main(["cache", "warm"]) == 2
     assert "disabled" in capsys.readouterr().err
+
+
+# -- one capture per (kernel, limit) per reproduction ----------------------
+
+
+def test_table1_then_timing_runs_capture_each_kernel_once(
+    cache_dir, monkeypatch
+):
+    """Table 1 writes the cache entries the timing runs then hit, so a
+    reproduction runs the functional simulator once per kernel."""
+    from repro.core.model import GREAT_MODEL
+    from repro.engine.config import ProcessorConfig
+    from repro.harness import parallel
+    from repro.harness.table1 import run_table1
+    from repro.programs.suite import kernel_names
+
+    captured: list[str] = []
+    for attribute in ("trace", "iter_trace"):
+        original = getattr(KernelSpec, attribute)
+
+        def counting(self, max_instructions=None, _original=original):
+            captured.append(self.name)
+            return _original(self, max_instructions)
+
+        monkeypatch.setattr(KernelSpec, attribute, counting)
+    monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
+
+    limit = 250
+    rows = run_table1(limit)
+    jobs = [
+        parallel.SimJob(name, ProcessorConfig(4, 24), model, limit)
+        for name in kernel_names()
+        for model in (None, GREAT_MODEL)
+    ]
+    parallel.run_jobs(jobs, jobs=1)
+    assert sorted(captured) == sorted(kernel_names())
+
+    monkeypatch.setenv(trace_cache.ENV_VAR, "off")
+    assert run_table1(limit) == rows
+
+
+def test_limit_study_identical_from_list_cold_and_warm_traces(cache_dir):
+    from repro.analysis.limits import limit_study, render_limit_study
+    from repro.harness.experiments import _run_limit_study
+    from repro.programs.suite import benchmark_suite
+
+    limit = 800
+    expected = []
+    for spec in benchmark_suite():
+        from_list = render_limit_study(limit_study(spec.trace(limit)), spec.name)
+        cold = trace_cache.cached_trace(spec.name, limit)
+        warm = trace_cache.cached_trace(spec.name, limit)
+        assert render_limit_study(limit_study(cold), spec.name) == from_list
+        assert render_limit_study(limit_study(warm), spec.name) == from_list
+        expected.append(from_list)
+    assert _run_limit_study(max_instructions=limit) == "\n\n".join(expected)
