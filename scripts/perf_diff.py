@@ -97,47 +97,6 @@ def _model_aggregates(report: dict) -> dict[str, int]:
     }
 
 
-def _batched_block(report: dict) -> dict | None:
-    """The record's ``batched`` block (PR 6 schema), or ``None`` for
-    records that predate the batched engine or carry a malformed block —
-    old-schema records must keep diffing cleanly."""
-    block = report.get("batched")
-    if not isinstance(block, dict):
-        return None
-    if not isinstance(block.get("grid_speedup"), (int, float)):
-        return None
-    return block
-
-
-def batched_rows(new: dict, baseline: dict) -> list[tuple[str, object, object]]:
-    """Rows of (label, fresh ratio, committed ratio) for the paired
-    scalar-vs-batched aggregates.  Empty when the fresh record has no
-    batched block.  Each ratio is scalar seconds / batched seconds for
-    the same grid on the same host — the only batched number that is
-    comparable across records.
-    """
-    fresh = _batched_block(new)
-    if fresh is None:
-        return []
-    committed = _batched_block(baseline) or {}
-    rows = [
-        (
-            f"full grid ({fresh.get('grid_lanes', '?')} lanes)",
-            fresh.get("grid_speedup"),
-            committed.get("grid_speedup"),
-        )
-    ]
-    if "itiming_speedup" in fresh:
-        rows.append(
-            (
-                f"I-timing subset ({fresh.get('itiming_lanes', '?')} lanes)",
-                fresh.get("itiming_speedup"),
-                committed.get("itiming_speedup"),
-            )
-        )
-    return rows
-
-
 def _service_block(report: dict) -> dict | None:
     """The record's ``service`` block (SLO summary written by
     ``scripts/service_load.py``), or ``None`` for records that predate
@@ -394,16 +353,6 @@ def render_text(rows, new: dict, baseline: dict) -> str:
         old_text = f"{old_ips:,}" if old_ips else "-"
         ratio_text = f"{ratio:.3f}" if ratio else "-"
         lines.append(f"{model:8s} {old_text:>12s} {new_ips:>12,} {ratio_text:>8s}")
-    speedups = batched_rows(new, baseline)
-    if speedups:
-        lines.append("batched engine (paired scalar/batched, same host):")
-        for label, fresh, committed in speedups:
-            committed_text = (
-                f"{committed:.3f}x" if committed is not None else "-"
-            )
-            lines.append(
-                f"  {label:28s} {fresh:.3f}x  (committed: {committed_text})"
-            )
     slo = service_rows(new, baseline)
     if slo:
         lines.append("service SLO (scripts/service_load.py, same host):")
@@ -455,21 +404,6 @@ def render_markdown(rows, new: dict, baseline: dict) -> str:
         old_text = f"{old_ips:,}" if old_ips else "–"
         ratio_text = f"{ratio:.3f}" if ratio else "–"
         lines.append(f"| {model} | {old_text} | {new_ips:,} | {ratio_text} |")
-    speedups = batched_rows(new, baseline)
-    if speedups:
-        lines += [
-            "",
-            "**Batched engine** (paired scalar/batched on the runner — "
-            "host effects cancel):",
-            "",
-            "| aggregate | fresh | committed |",
-            "|---|---:|---:|",
-        ]
-        for label, fresh, committed in speedups:
-            committed_text = (
-                f"{committed:.3f}x" if committed is not None else "–"
-            )
-            lines.append(f"| {label} | {fresh:.3f}x | {committed_text} |")
     slo = service_rows(new, baseline)
     if slo:
         lines += [

@@ -6,12 +6,8 @@ per-call overhead; this wrapper makes the profile one command away:
     PYTHONPATH=src python scripts/profile_engine.py
     PYTHONPATH=src python scripts/profile_engine.py \
         --benchmark perl --config 4/24 --model none --sort tottime
-    PYTHONPATH=src python scripts/profile_engine.py --batch
 
-Both engine paths are profileable: the scalar engine (the default) and
-the batched multi-config path (``--batch``, one ``run_batch`` call over
-a baseline lane plus the model's four timing x confidence lanes).  The
-run is profiled once under :mod:`cProfile` and printed three ways — a
+The run is profiled once under :mod:`cProfile` and printed three ways — a
 per-stage cumulative-time table over the pipeline's stage methods, then
 the top rows by cumulative time (where the cycles go) and by internal
 time (which bodies to inline next).
@@ -86,14 +82,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--confidence", default="real", help="real | oracle")
     parser.add_argument("--timing", default="I", help="I | D")
     parser.add_argument(
-        "--batch",
-        action="store_true",
-        help=(
-            "profile the batched engine: one run_batch call over a "
-            "baseline lane plus the model's four timing x confidence lanes"
-        ),
-    )
-    parser.add_argument(
         "--top", type=int, default=20, help="rows per ranking (default 20)"
     )
     parser.add_argument(
@@ -115,35 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     config = paper_config(args.config)
     trace = kernel(args.benchmark).trace(args.max_instructions)
     model = None if args.model == "none" else named_models()[args.model]
-    if args.batch:
-        from repro.engine.batched import run_batch
-        from repro.harness.parallel import SimJob
-
-        jobs = [
-            SimJob(
-                benchmark=args.benchmark,
-                config=config,
-                max_instructions=args.max_instructions,
-            )
-        ]
-        if model is not None:
-            jobs += [
-                SimJob(
-                    benchmark=args.benchmark,
-                    config=config,
-                    model=model,
-                    max_instructions=args.max_instructions,
-                    confidence=conf,
-                    update_timing=timing,
-                )
-                for timing in ("I", "D")
-                for conf in ("R", "O")
-            ]
-
-        def simulate():
-            return run_batch(jobs, trace)[-1]
-
-    elif model is None:
+    if model is None:
         def simulate():
             return run_baseline(trace, config)
     else:

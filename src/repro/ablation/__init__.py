@@ -8,11 +8,7 @@ IDs (:mod:`repro.ablation.plan`), execute it on any harness backend
 ``repro ablate``.
 """
 
-from repro.ablation.execute import (
-    RunResults,
-    execute_plan,
-    verify_engine_identity,
-)
+from repro.ablation.execute import RunResults, execute_plan
 from repro.ablation.plan import (
     AblationPlan,
     AblationSpec,
@@ -54,6 +50,5 @@ __all__ = [
     "render_text",
     "report_record",
     "validate_report",
-    "verify_engine_identity",
     "write_report",
 ]

@@ -5,8 +5,8 @@ to show which machine-model variables actually buy speedup.  This
 module makes that question declarative.  A :class:`Component` names one
 mechanism of the speculative machine — the verification network, the
 selective invalidation scheme, confidence gating, delayed (realistic)
-predictor update, predictor table depth, the wakeup/selection policies,
-and the harness's engine features — together with how to *lesion* it:
+predictor update, predictor table depth, the wakeup/selection policies
+— together with how to *lesion* it:
 rewrite an :class:`AblationPoint` so the mechanism is removed, disabled
 or replaced by its cheapest alternative.
 
@@ -15,17 +15,10 @@ baseline + leave-one-out (and opt-in pairwise) run set; components are
 always iterated in sorted-name order, so run IDs are insensitive to the
 order components were registered in.
 
-Two component kinds exist:
-
-* ``model`` — the lesion edits the simulated machine (model variables,
-  confidence estimator, update timing, predictor factory).  Lesioned
-  runs simulate a *different* machine, so their job keys differ from
-  the baseline's and their speedup deltas measure the mechanism.
-* ``engine`` — the lesion edits only how the harness *executes* the
-  same jobs (scalar instead of batched).  Results must be bit-identical
-  by construction, so the reported importance is exactly ``0.0`` — such
-  components are registered as always-on differential tests of the
-  engine features, not as machine mechanisms.
+A lesion edits the simulated machine (model variables, confidence
+estimator, update timing, predictor factory).  Lesioned runs simulate a
+*different* machine, so their job keys differ from the baseline's and
+their speedup deltas measure the mechanism.
 
 A lesion that does not apply to the baseline being ablated (the
 baseline already runs complete invalidation, or carries a predictor the
@@ -116,33 +109,21 @@ class Component:
 
     ``lesion`` maps the baseline :class:`AblationPoint` to the lesioned
     one (raising :class:`NotApplicable` when the baseline does not carry
-    the mechanism); ``engine_overrides`` instead names execution-level
-    settings (``batch``) for ``kind="engine"``
-    components, whose lesioned runs execute the *same* jobs.
+    the mechanism).
     """
 
     name: str
     title: str
     description: str
     lesion_label: str
-    kind: str = "model"
     lesion: Callable[[AblationPoint], AblationPoint] | None = None
-    engine_overrides: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("model", "engine"):
-            raise ValueError(f"component kind must be model|engine, got {self.kind!r}")
-        if self.kind == "model" and self.lesion is None:
-            raise ValueError(f"model component {self.name!r} needs a lesion callable")
-        if self.kind == "engine" and not self.engine_overrides:
-            raise ValueError(
-                f"engine component {self.name!r} needs engine_overrides"
-            )
+        if self.lesion is None:
+            raise ValueError(f"component {self.name!r} needs a lesion callable")
 
     def apply(self, point: AblationPoint) -> AblationPoint:
-        """The lesioned point (identity for engine components)."""
-        if self.lesion is None:
-            return point
+        """The lesioned point."""
         return self.lesion(point)
 
 
@@ -269,8 +250,7 @@ def _lesion_selection_priority(point: AblationPoint) -> AblationPoint:
 
 def default_registry() -> ComponentRegistry:
     """The registry `repro ablate` ships with: the paper's mechanism
-    axes plus the harness's engine features as zero-delta differential
-    tests.  Returns a fresh registry so callers may mutate their copy.
+    axes.  Returns a fresh registry so callers may mutate their copy.
     """
     return ComponentRegistry([
         Component(
@@ -351,19 +331,5 @@ def default_registry() -> ComponentRegistry:
             ),
             lesion_label="speculative-equal selection",
             lesion=_lesion_selection_priority,
-        ),
-        Component(
-            name="engine-batching",
-            title="Batched multi-config engine",
-            description=(
-                "Execution-level feature: N compatible sweep points per "
-                "trace pass (docs/PERFORMANCE.md #8).  Lesioned runs "
-                "execute the identical jobs scalar, so the delta is "
-                "0.0 by construction — a differential test, not a "
-                "machine mechanism."
-            ),
-            lesion_label="scalar execution (batch=1)",
-            kind="engine",
-            engine_overrides=(("batch", 1),),
         ),
     ])

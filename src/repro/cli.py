@@ -54,15 +54,6 @@ def _experiment_kwargs(args: argparse.Namespace) -> dict:
         kwargs["jobs"] = args.jobs
     if getattr(args, "backend", None) is not None:
         kwargs["backend"] = args.backend
-    if getattr(args, "batch", None) is not None:
-        # Exported as the env default rather than a kwarg so every
-        # experiment — including sweeps whose wrappers predate the
-        # batching planner — honors it through run_jobs' resolution.
-        import os
-
-        from repro.harness.parallel import BATCH_ENV_VAR
-
-        os.environ[BATCH_ENV_VAR] = str(args.batch)
     return kwargs
 
 
@@ -453,7 +444,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store=store,
         backend=args.backend,
         jobs=args.jobs if args.jobs is not None else 1,
-        batch=args.batch,
         max_queue=args.max_queue,
         store_max_entries=args.store_max_entries,
     )
@@ -570,7 +560,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         render_csv,
         render_text,
         validate_report,
-        verify_engine_identity,
         write_report,
     )
 
@@ -590,10 +579,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         plan,
         jobs=args.jobs if args.jobs is not None else 1,
         backend=args.backend,
-        batch=args.batch,
     )
-    mismatches = verify_engine_identity(executed)
-    report = build_report(plan, executed, engine_mismatches=mismatches)
+    report = build_report(plan, executed)
     validate_report(report)
     print(render_text(report))
     if args.json:
@@ -606,7 +593,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(render_csv(report) + "\n")
         print(f"csv report written to {path}")
-    return 1 if mismatches else 0
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -646,16 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="grid execution backend (default: REPRO_SWEEP_BACKEND or local)",
     )
-    run_parser.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "run up to N compatible same-trace grid points per batched-"
-            "engine unit (0 = unbounded; default: REPRO_SWEEP_BATCH or 1)"
-        ),
-    )
     run_parser.set_defaults(func=_cmd_run)
 
     for shorthand in ("table1", "figure1", "figure3", "figure4"):
@@ -666,7 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--backend", choices=("local", "cluster", "service"), default=None
         )
-        p.add_argument("--batch", type=int, default=None, metavar="N")
         p.set_defaults(func=_cmd_run, id=shorthand)
 
     describe_parser = sub.add_parser(
@@ -788,11 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, metavar="N",
         help="worker count for an ephemeral local cluster",
     )
-    submit_parser.add_argument(
-        "--batch", type=int, default=None, metavar="N",
-        help="batched-engine group size (0 = unbounded; default: "
-        "REPRO_SWEEP_BATCH or 1)",
-    )
     submit_parser.set_defaults(func=_cmd_cluster)
 
     status_parser = cluster_sub.add_parser(
@@ -836,11 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
     service_parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="process-pool width for --backend pool",
-    )
-    service_parser.add_argument(
-        "--batch", type=int, default=None, metavar="N",
-        help="batched-engine group size (0 = unbounded; default: "
-        "REPRO_SWEEP_BATCH or 1)",
     )
     service_parser.add_argument(
         "--max-queue", type=int, default=256, metavar="N",
@@ -953,7 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
     ablate_parser.add_argument(
         "--backend", choices=("local", "cluster", "service"), default=None
     )
-    ablate_parser.add_argument("--batch", type=int, default=None, metavar="N")
     ablate_parser.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the versioned JSON report",

@@ -1,9 +1,9 @@
 """Fault-tolerant cluster sweep service.
 
 The harness's grids — every figure, table and ablation — reduce to a
-batch of independent :class:`~repro.harness.parallel.SimJob` points.
-``harness.parallel.run_jobs`` fans such a batch over a local process
-pool; this package turns the same batch into a *service*: a TCP
+grid of independent :class:`~repro.harness.parallel.SimJob` points.
+``harness.parallel.run_jobs`` fans such a grid over a local process
+pool; this package turns the same grid into a *service*: a TCP
 scheduler hands jobs to long-lived worker processes (on one host or
 many) under lease/heartbeat supervision, retries jobs whose worker died,
 and journals every completed point to disk so an interrupted sweep —

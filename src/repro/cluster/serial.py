@@ -30,7 +30,7 @@ from functools import partial
 
 from repro.engine.config import ProcessorConfig
 from repro.engine.sim import SimulationResult
-from repro.harness.parallel import BatchJob, SimJob
+from repro.harness.parallel import SimJob
 from repro.metrics.counters import SimCounters
 
 #: Hex digits of the job hash kept as the key (96 bits: collision-safe
@@ -57,18 +57,8 @@ def _canonical_callable(obj) -> str:
     return f"{type(obj).__module__}.{type(obj).__qualname__}:{obj!r}"
 
 
-def job_fingerprint(job: SimJob | BatchJob) -> str:
-    """The canonical text a job's content hash is computed from.
-
-    A :class:`BatchJob` unit fingerprints as the ordered member
-    fingerprints under a ``batch`` header: the same lanes in the same
-    order are the same unit (so journals replay it), while any member
-    or ordering change produces a fresh key.
-    """
-    if isinstance(job, BatchJob):
-        return "\n---\n".join(
-            ["batch"] + [job_fingerprint(member) for member in job.jobs]
-        )
+def job_fingerprint(job: SimJob) -> str:
+    """The canonical text a job's content hash is computed from."""
     model = job.model
     model_text = (
         "baseline"
@@ -97,8 +87,8 @@ def job_fingerprint(job: SimJob | BatchJob) -> str:
     )
 
 
-def job_key(job: SimJob | BatchJob) -> str:
-    """Content hash of one execution unit — the journal, dedup and
+def job_key(job: SimJob) -> str:
+    """Content hash of one job — the journal, dedup and
     result-store key (:mod:`repro.service.results`).
 
     Two jobs with equal settings hash equal no matter which process,
@@ -120,15 +110,8 @@ def job_from_blob(blob: str) -> SimJob:
     return pickle.loads(base64.b64decode(blob.encode("ascii")))
 
 
-def result_to_wire(result: SimulationResult | list) -> dict:
-    """A result's JSON form (wire frames and journal records).
-
-    A batched unit's result is a *list* of per-lane results; it rides
-    the same opaque result slot as ``{"batch": [...]}`` so the
-    scheduler and journal need no schema change.
-    """
-    if isinstance(result, list):
-        return {"batch": [result_to_wire(lane) for lane in result]}
+def result_to_wire(result: SimulationResult) -> dict:
+    """A result's JSON form (wire frames and journal records)."""
     return {
         "counters": asdict(result.counters),
         "config": asdict(result.config),
@@ -140,10 +123,8 @@ def result_to_wire(result: SimulationResult | list) -> dict:
     }
 
 
-def result_from_wire(doc: dict) -> SimulationResult | list:
+def result_from_wire(doc: dict) -> SimulationResult:
     """Rebuild a result; inverse of :func:`result_to_wire`."""
-    if "batch" in doc:
-        return [result_from_wire(lane) for lane in doc["batch"]]
     counters_doc = dict(doc["counters"])
     extra = counters_doc.pop("extra", {}) or {}
     counters = SimCounters(**counters_doc)

@@ -130,7 +130,6 @@ class PipelineSimulator:
         confidence: ConfidenceEstimator | None = None,
         update_timing: UpdateTiming = UpdateTiming.DELAYED,
         hierarchy: MemoryHierarchy | None = None,
-        fetch_engine=None,
         tracer=None,
     ):
         self.trace = trace
@@ -153,31 +152,23 @@ class PipelineSimulator:
         self.hierarchy = hierarchy or make_paper_hierarchy(
             perfect=config.perfect_caches
         )
-        if fetch_engine is not None:
-            # Injected front end (the batched engine shares one predicted
-            # fetch stream across lanes — see repro.engine.batched).  The
-            # injected engine owns whatever branch-prediction state it
-            # carries; the simulator builds none of its own.
-            self.fetch_engine = fetch_engine
-            self.bpred = fetch_engine.branch_predictor
-        else:
-            self.bpred = None if config.perfect_branches else _make_bpred(config)
-            btb = ras = None
-            if not config.ideal_branch_targets:
-                from repro.frontend.btb import BranchTargetBuffer
-                from repro.frontend.ras import ReturnAddressStack
+        self.bpred = None if config.perfect_branches else _make_bpred(config)
+        btb = ras = None
+        if not config.ideal_branch_targets:
+            from repro.frontend.btb import BranchTargetBuffer
+            from repro.frontend.ras import ReturnAddressStack
 
-                btb = BranchTargetBuffer()
-                ras = ReturnAddressStack()
-            self.fetch_engine = FetchEngine(
-                trace,
-                self.hierarchy.l1i,
-                self.bpred,
-                model_wrong_path=config.model_wrong_path,
-                ideal_branch_targets=config.ideal_branch_targets,
-                btb=btb,
-                ras=ras,
-            )
+            btb = BranchTargetBuffer()
+            ras = ReturnAddressStack()
+        self.fetch_engine = FetchEngine(
+            trace,
+            self.hierarchy.l1i,
+            self.bpred,
+            model_wrong_path=config.model_wrong_path,
+            ideal_branch_targets=config.ideal_branch_targets,
+            btb=btb,
+            ras=ras,
+        )
         self.window = InstructionWindow(config.window_size)
         #: The window's backing ordered dict, accessed directly on the hot
         #: paths (sid → Station lookups happen on every broadcast).
@@ -330,23 +321,6 @@ class PipelineSimulator:
             self._fconf_counters = None
             self._fconf_mask = self._fconf_max = 0
             self._fvp_fold16_ok = False
-        #: Fused replay path for batched immediate-timing lanes: when the
-        #: predictor/confidence pair replays recorded columns (see
-        #: repro.vp.replay), every prediction outcome is one packed-byte
-        #: read.  Only valid when the recording assumptions hold —
-        #: immediate update timing and unlimited predictor ports — which
-        #: the batch planner guarantees; otherwise the replay pair still
-        #: works through the generic cursor methods.
-        rv_codes = getattr(self.predictor, "replay_codes", None)
-        if (
-            rv_codes is None
-            or getattr(self.confidence, "replay_flags", None) is None
-            or self._vp_delayed
-            or not self._vp_unlimited
-        ):
-            rv_codes = None
-        self._rv_codes = rv_codes
-        self._rv_pos = 0
 
         self.cycle = 0
         self._next_sid = 0
@@ -751,18 +725,10 @@ class PipelineSimulator:
             fconf_max = self._fconf_max
             alloc_taint_mask = self._alloc_taint_mask
             vp_shift = _VP_PC_SHIFT
-        # Fused replay path (batched lanes): the whole prediction outcome
-        # is a packed byte — bit 0 confident, bit 1 correct, bit 2
-        # approximate-equality rescue (see repro.vp.replay).
-        replay_vp = vp_on and self._rv_codes is not None
-        if replay_vp:
-            rv_codes = self._rv_codes
-            rv_pos = self._rv_pos
-            alloc_taint_mask = self._alloc_taint_mask
         # Per-instruction counters accumulate in locals and flush once
         # after the loop (an attribute RMW per instruction is overhead).
         n_wrong = n_branches = n_mispred = n_loads = n_stores = 0
-        n_lookups = n_pred = n_pred_correct = n_approx = 0
+        n_lookups = n_pred = n_pred_correct = 0
         n_ch = n_cl = n_ih = n_il = n_specd = n_misspec = 0
         while dispatched < width:
             if not fetch_queue:
@@ -963,48 +929,6 @@ class PipelineSimulator:
                                 cycle, rec.seq, sid, "predict",
                                 "correct" if pred_correct else "incorrect",
                             )
-                elif replay_vp:
-                    # _predict_value with replay columns, fused: the
-                    # recording pass already ran the real predictor and
-                    # confidence estimator, so one packed byte carries
-                    # the outcome (kept in lockstep with the generic
-                    # path; the golden bit-identity suite pins it).
-                    code = rv_codes[rv_pos]
-                    rv_pos += 1
-                    n_pred += 1
-                    if code & 2:
-                        n_pred_correct += 1
-                        if code & 4:
-                            n_approx += 1
-                        if code & 1:
-                            n_ch += 1
-                        else:
-                            n_cl += 1
-                    elif code & 1:
-                        n_ih += 1
-                    else:
-                        n_il += 1
-                    if code & 1:
-                        pred_correct = (code & 2) != 0
-                        station.predicted = True
-                        station.predicted_confident = True
-                        station.pred_correct = pred_correct
-                        station.out_ready = True
-                        station.taint_mask = alloc_taint_mask(station)
-                        station.out_taints = station.taint_mask
-                        station.out_correct = pred_correct
-                        n_specd += 1
-                        if not pred_correct:
-                            n_misspec += 1
-                        if log_on:
-                            self.log.emit(
-                                rec.seq, SpecEventKind.PREDICT, cycle
-                            )
-                        if obs_on:
-                            self._trc_mark(
-                                cycle, rec.seq, sid, "predict",
-                                "correct" if pred_correct else "incorrect",
-                            )
                 else:
                     self._predict_value(station)
 
@@ -1061,19 +985,6 @@ class PipelineSimulator:
             counters.incorrect_low += n_il
             counters.speculated += n_specd
             counters.misspeculations += n_misspec
-        elif replay_vp:
-            self._rv_pos = rv_pos
-            if n_pred:
-                counters.predictions += n_pred
-                counters.predictions_correct += n_pred_correct
-                counters.correct_high += n_ch
-                counters.correct_low += n_cl
-                counters.incorrect_high += n_ih
-                counters.incorrect_low += n_il
-                counters.speculated += n_specd
-                counters.misspeculations += n_misspec
-                if n_approx:
-                    counters.approximate_matches += n_approx
 
     _LONG_LATENCY_CLASSES = frozenset(
         (

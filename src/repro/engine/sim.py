@@ -32,10 +32,10 @@ class SimulationResult:
     confidence_kind: str | None = None
     update_timing: str | None = None
     extra: dict[str, float] = field(default_factory=dict)
-    #: Which engine produced this run ("scalar" or "batched"), for perf
-    #: attribution.  Excluded from equality — bit-identity checks compare
-    #: *simulation* outcomes, and the same outcome may legitimately come
-    #: from different engine paths.
+    #: Which engine produced this run, for perf attribution: "scalar",
+    #: or whatever an older journal or result-store entry recorded
+    #: (``None`` before attribution existed).  Excluded from equality —
+    #: bit-identity checks compare *simulation* outcomes only.
     engine_path: str | None = field(default=None, compare=False)
 
     @property
@@ -73,25 +73,13 @@ def run_baseline(
     config: ProcessorConfig,
     *,
     tracer=None,
-    hierarchy=None,
-    fetch_engine=None,
 ) -> SimulationResult:
     """Simulate the base processor (no value prediction).
 
     ``tracer`` optionally attaches a :class:`repro.obs.PipelineTracer`
     (or any object with its duck type) for lifecycle/latency recording.
-    ``hierarchy``/``fetch_engine`` inject pre-built collaborators — the
-    batched engine (:mod:`repro.engine.batched`) uses them to share one
-    predicted fetch stream across lanes; leave them ``None`` otherwise.
     """
-    simulator = PipelineSimulator(
-        trace,
-        config,
-        model=None,
-        hierarchy=hierarchy,
-        fetch_engine=fetch_engine,
-        tracer=tracer,
-    )
+    simulator = PipelineSimulator(trace, config, model=None, tracer=tracer)
     counters = simulator.run()
     return SimulationResult(counters=counters, config=config, engine_path="scalar")
 
@@ -105,30 +93,19 @@ def run_trace(
     update_timing: UpdateTiming | str = UpdateTiming.DELAYED,
     predictor: ValuePredictor | None = None,
     tracer=None,
-    hierarchy=None,
-    fetch_engine=None,
-    confidence_kind: str | None = None,
 ) -> SimulationResult:
     """Simulate one value-speculative run.
 
     ``confidence`` accepts the paper's shorthand ("real"/"oracle") or a
     ready estimator; ``update_timing`` accepts "I"/"D" or the enum;
     ``tracer`` optionally attaches an observability tracer (see
-    :mod:`repro.obs`).  ``hierarchy``/``fetch_engine`` inject pre-built
-    collaborators (see :mod:`repro.engine.batched`); ``confidence_kind``
-    overrides the paper-notation label when ``confidence`` is a wrapper
-    (e.g. a replay estimator) whose kind cannot be inferred by type.
+    :mod:`repro.obs`).
     """
     if isinstance(update_timing, str):
         update_timing = UpdateTiming(update_timing.strip().upper())
     if isinstance(confidence, str):
-        if confidence_kind is None:
-            confidence_kind = (
-                "O" if confidence.strip().upper() in ("O", "ORACLE") else "R"
-            )
         confidence = make_confidence(confidence)
-    elif confidence_kind is None:
-        confidence_kind = "O" if isinstance(confidence, OracleConfidence) else "R"
+    confidence_kind = "O" if isinstance(confidence, OracleConfidence) else "R"
     simulator = PipelineSimulator(
         trace,
         config,
@@ -136,8 +113,6 @@ def run_trace(
         predictor=predictor,
         confidence=confidence,
         update_timing=update_timing,
-        hierarchy=hierarchy,
-        fetch_engine=fetch_engine,
         tracer=tracer,
     )
     counters = simulator.run()

@@ -37,12 +37,10 @@ def run_figure4(
     model: SpeculativeExecutionModel = GREAT_MODEL,
     jobs: int = 1,
     backend: str | None = None,
-    batch: int | None = None,
 ) -> list[Figure4Cell]:
     """Measure the CH/CL/IH/IL breakdown for the great model (real
     confidence) across configurations and update timings.  ``jobs`` fans
-    the (config x timing x benchmark) grid over worker processes;
-    ``batch`` groups same-benchmark points into batched-engine units."""
+    the (config x timing x benchmark) grid over worker processes."""
     names = [
         spec.name
         for spec in benchmark_suite()
@@ -63,7 +61,7 @@ def run_figure4(
         for config, timing in grid
         for name in names
     ]
-    results = iter(run_jobs(job_list, jobs=jobs, backend=backend, batch=batch))
+    results = iter(run_jobs(job_list, jobs=jobs, backend=backend))
     cells: list[Figure4Cell] = []
     for config, timing in grid:
         breakdowns = [next(results).accuracy_breakdown for _ in names]

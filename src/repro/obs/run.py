@@ -76,8 +76,7 @@ class InstrumentedRun:
 
     @property
     def engine_path(self) -> str:
-        """Which engine produced this run (always the scalar engine: the
-        batched engine takes no tracer)."""
+        """Which engine produced this run (always the scalar engine)."""
         return self.result.engine_path or "scalar"
 
 

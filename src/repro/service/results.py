@@ -120,8 +120,8 @@ def _entry_crc(doc: dict) -> int:
 def store_result(key: str, result, directory: Path | None = None) -> Path | None:
     """Atomically write one result under its job key; returns the path.
 
-    ``result`` may be a :class:`~repro.engine.sim.SimulationResult`, a
-    batched run's list of them, or an already-serialized wire document.
+    ``result`` may be a :class:`~repro.engine.sim.SimulationResult` or
+    an already-serialized wire document.
     Returns ``None`` (and stores nothing) when the store is disabled or
     the directory is unwritable — the store is an optimisation, never a
     hard dependency.
@@ -190,8 +190,7 @@ def load_wire(key: str, directory: Path | None = None) -> dict | None:
 
 def load_result(key: str, directory: Path | None = None):
     """The stored result for this key rebuilt as a
-    :class:`~repro.engine.sim.SimulationResult` (or list of them for a
-    batched unit), or ``None`` on a miss."""
+    :class:`~repro.engine.sim.SimulationResult`, or ``None`` on a miss."""
     wire = load_wire(key, directory)
     if wire is None:
         return None

@@ -1,7 +1,7 @@
 """The always-on simulation service: an HTTP/JSON front door over the
 simulation backends with in-flight dedup and a persistent result store.
 
-This is the long-lived, multi-tenant promotion of the batch machinery:
+This is the long-lived, multi-tenant promotion of the sweep machinery:
 where ``run_jobs`` executes a grid and exits, and the cluster scheduler
 owns one sweep at a time, the service accepts sweep/experiment/single-
 point requests from many concurrent clients indefinitely and guarantees
@@ -87,9 +87,6 @@ class ServiceConfig:
     #: ``cluster`` (the :mod:`repro.cluster` sweep service).
     backend: str = "serial"
     jobs: int = 1
-    #: Batched-engine group size forwarded to ``run_jobs`` (see
-    #: :func:`repro.harness.parallel.plan_units`); ``None`` = env/1.
-    batch: int | None = None
     #: Queue bound: queued-but-not-dispatched jobs across all clients.
     max_queue: int = 256
     #: Jobs the dispatcher drains per cycle (fairness granularity vs
@@ -452,7 +449,6 @@ class SimulationService:
             "backend": {
                 "backend": self.config.backend,
                 "jobs": self.config.jobs,
-                "batch": self.config.batch,
             },
             "store": result_store.store_info(self.store_dir),
             "stats": stats,
@@ -480,7 +476,6 @@ class SimulationService:
                 jobs=self.config.jobs if self.config.backend == "pool" else 1,
                 backend="cluster" if self.config.backend == "cluster"
                 else "local",
-                batch=self.config.batch,
             )
         except Exception as error:  # a failed cycle fails its entries only
             with self._lock:

@@ -77,7 +77,7 @@ def test_latency_events():
 
 def test_ablation_report():
     out = _run("ablation_report.py")
-    assert "planned 9 runs" in out
+    assert "planned 8 runs" in out
     assert "importance" in out
-    assert "engine-batching" in out and "engine" in out
+    assert "engine-batching" not in out
     assert "baseline speedup" in out

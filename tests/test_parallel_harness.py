@@ -255,6 +255,95 @@ class TestDuplicateJobDedup:
         assert duplicated[3].counters == duplicated[0].counters
 
 
+    @pytest.mark.parametrize("store", [False, True], ids=["nostore", "store"])
+    @pytest.mark.parametrize("workers", [1, 2], ids=["jobs1", "jobs2"])
+    def test_plan_units_hashes_each_job_once_on_every_local_path(
+        self, workers, store, monkeypatch, tmp_path
+    ):
+        """Repeated points collapse in :func:`plan_units`: every local
+        path (inline, pool, each with and without the result store)
+        returns what running each job alone returns, at its own
+        position, and ``job_key`` runs once per submitted job."""
+        import repro.cluster.serial as serial
+        import repro.harness.parallel as parallel
+
+        base = SimJob("compress", _CONFIG, None, _LIMIT)
+        vp = SimJob("compress", _CONFIG, GREAT_MODEL, _LIMIT)
+        other = SimJob("perl", _CONFIG, None, _LIMIT)
+        grid = [base, vp, base, other, vp, base]
+        alone = [parallel._execute(job) for job in grid]
+        if store:
+            monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "store"))
+        hashed: list[SimJob] = []
+        real_key = serial.job_key
+
+        def counting_key(job):
+            hashed.append(job)
+            return real_key(job)
+
+        monkeypatch.setattr(serial, "job_key", counting_key)
+        assert run_jobs(grid, workers) == alone
+        assert len(hashed) == len(grid)
+        if store:  # the warm pass scatters store hits the same way
+            assert run_jobs(grid, workers) == alone
+            assert len(hashed) == 2 * len(grid)
+
+    def test_plan_units_shape(self):
+        from repro.cluster.serial import job_key
+        from repro.harness.parallel import plan_units
+
+        base = SimJob("compress", _CONFIG, None, _LIMIT)
+        vp = SimJob("compress", _CONFIG, GREAT_MODEL, _LIMIT)
+        units, keys, slots = plan_units([vp, base, vp, vp, base])
+        assert units == [vp, base]
+        assert keys == [job_key(vp), job_key(base)]
+        assert slots == [0, 1, 0, 0, 1]
+        assert plan_units([]) == ([], [], [])
+
+
+class TestStagedTraceFallback:
+    """A staged trace handle that cannot be attached falls back to
+    capture with a logged reason, or raises under strict mode."""
+
+    @pytest.fixture
+    def bad_handle(self, tmp_path, monkeypatch):
+        import repro.harness.parallel as parallel
+
+        garbage = tmp_path / "garbage.vsrt3"
+        garbage.write_bytes(b"not a trace, just bytes" * 4)
+        handle = parallel.TraceHandle("file", str(garbage), garbage.stat().st_size)
+        # Fresh worker-side state, restored after the test.
+        monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
+        monkeypatch.setattr(parallel, "_TRACE_HANDLES", {})
+        monkeypatch.setattr(parallel, "_WORKER_STRICT", False)
+        return handle
+
+    def test_bad_handle_warns_and_recaptures(self, bad_handle, caplog):
+        import repro.harness.parallel as parallel
+
+        job = SimJob("compress", _CONFIG, GREAT_MODEL, _LIMIT)
+        reference = run_jobs([job])[0]
+        parallel._TRACE_CACHE.clear()  # drop the trace that run memoized
+        parallel._init_worker({("compress", _LIMIT): bad_handle}, False)
+        with caplog.at_level("WARNING", logger="repro.harness.parallel"):
+            result = parallel._execute(job)
+        assert result == reference
+        (warning,) = [
+            record.getMessage() for record in caplog.records
+            if record.levelname == "WARNING"
+        ]
+        assert "file" in warning and bad_handle.name in warning
+        assert "BinaryTraceError" in warning
+
+    def test_bad_handle_raises_under_strict(self, bad_handle):
+        import repro.harness.parallel as parallel
+        from repro.trace.binary import BinaryTraceError
+
+        parallel._init_worker({("compress", _LIMIT): bad_handle}, True)
+        with pytest.raises(BinaryTraceError):
+            parallel._trace_for("compress", _LIMIT)
+
+
 class TestSweepEquality:
     def test_sweep_identical_across_worker_counts(self):
         from repro.harness.sweeps import invalidation_scheme_sweep

@@ -126,6 +126,22 @@ def test_old_specialized_block_ignored(perf_diff, tmp_path, capsys):
         assert "specialized" not in out.lower()
 
 
+def test_old_batched_block_ignored(perf_diff, tmp_path, capsys):
+    """Records written while the batched engine existed carry a
+    ``batched`` block; the engine is gone, so the block is ignored on
+    either side of the diff, in both renderings."""
+    new = tmp_path / "new.json"
+    old = tmp_path / "old.json"
+    block = {"grid_speedup": 0.995, "grid_lanes": 78, "itiming_speedup": 1.21}
+    new.write_text(json.dumps(_record(batched=block)))
+    old.write_text(json.dumps(_record(batched=block)))
+    for extra in ([], ["--markdown"]):
+        assert perf_diff.main([str(new), "--baseline", str(old), *extra]) == 0
+        out = capsys.readouterr().out
+        assert "0.995x" not in out and "1.210x" not in out
+        assert "batched" not in out.lower()
+
+
 def test_service_block_rendered_and_old_schema_tolerated(
     perf_diff, tmp_path, capsys
 ):

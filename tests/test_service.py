@@ -341,7 +341,7 @@ class TestServiceHTTP:
         assert status["type"] == "status"
         # the cluster scheduler's jobs schema, exactly
         assert set(status["jobs"]) == {"pending", "leased", "done", "failed"}
-        assert set(status["backend"]) == {"backend", "jobs", "batch"}
+        assert set(status["backend"]) == {"backend", "jobs"}
         assert status["store"]["enabled"] is True
         assert "queue" in status and "clients" in status
 
